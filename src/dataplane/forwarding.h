@@ -4,8 +4,9 @@
 // hypervisors — is a ForwardingElement: it consumes one PacketView and emits
 // zero or more (out_port, PacketView) pairs. Emissions are appended to a
 // caller-provided EmissionArena rather than returned as fresh vectors, so a
-// fabric walk reuses one arena across every hop and performs no steady-state
-// allocation.
+// fabric walk reuses one arena across every hop. The walk as a whole still
+// allocates (perfbench/BASELINE.md: alloc.per_send = 2,418 on walk_wve); the
+// ROADMAP zero-allocation walk item removes that.
 //
 // Port conventions:
 //   * Network switches: out_port indexes the switch's ports (downstream
@@ -25,7 +26,7 @@
 #include "net/packet_view.h"
 
 namespace elmo::obs {
-class ProvenanceSink;
+class ProvenanceLog;
 }
 
 namespace elmo::dp {
@@ -72,14 +73,14 @@ class ForwardingElement {
                                       std::size_t ingress_port,
                                       EmissionArena& arena) = 0;
 
-  // Optional decision-provenance sink (nullptr detaches). Not owned; must
+  // Optional decision-provenance log (nullptr detaches). Not owned; must
   // outlive the packets it observes. A detached element pays one pointer
   // test per process() call (DESIGN.md §10).
-  void set_provenance(obs::ProvenanceSink* sink) noexcept { prov_ = sink; }
-  obs::ProvenanceSink* provenance() const noexcept { return prov_; }
+  void set_provenance(obs::ProvenanceLog* log) noexcept { prov_ = log; }
+  obs::ProvenanceLog* provenance() const noexcept { return prov_; }
 
  protected:
-  obs::ProvenanceSink* prov_ = nullptr;
+  obs::ProvenanceLog* prov_ = nullptr;
 };
 
 }  // namespace elmo::dp

@@ -28,6 +28,8 @@ const char* to_string(RuleClass rule) {
   return "?";
 }
 
+namespace {
+
 SendTrace make_trace(std::uint32_t group, std::uint32_t src_host,
                      std::size_t bytes) {
   SendTrace trace;
@@ -58,16 +60,10 @@ std::size_t add_hop(SendTrace& trace, topo::Layer layer, std::uint32_t node,
 
 void add_lost(SendTrace& trace, topo::Layer layer, std::uint32_t node,
               std::size_t parent) {
-  auto& hops = trace.hops;
-  const std::size_t index = hops.size();
-  ProvHop hop;
-  hop.layer = layer;
-  hop.node = node;
-  hop.parent = parent;
-  hop.lost = true;
-  hops.push_back(std::move(hop));
-  if (parent != kNoProvParent) hops[parent].children.push_back(index);
+  trace.hops[add_hop(trace, layer, node, parent, 0)].lost = true;
 }
+
+}  // namespace
 
 std::size_t ProvenanceLog::begin_send(std::uint32_t group,
                                       std::uint32_t src_host,
@@ -92,11 +88,6 @@ void ProvenanceLog::lost_copy(topo::Layer layer, std::uint32_t node,
 void ProvenanceLog::record_decision(const HopDecision& decision) {
   if (sends_.empty() || open_ == kNoProvParent) return;
   sends_.back().hops[open_].decision = decision;
-}
-
-void ProvenanceLog::append_trace(SendTrace&& trace) {
-  sends_.push_back(std::move(trace));
-  open_ = kNoProvParent;
 }
 
 void ProvenanceLog::clear() {

@@ -12,11 +12,11 @@
 // encoding decision that caused it.
 //
 // Attachment is strictly opt-in and zero-cost when detached: a forwarding
-// element with no sink pays one null-pointer test per process() call, and a
+// element with no log pays one null-pointer test per process() call, and a
 // fabric with no log pays one per work item; no bitmap is copied and no
-// allocation happens unless a log is listening. The walk is single-threaded
-// (FIFO event queue), so the log keeps one "open hop" cursor that the
-// data-plane decision callback writes through.
+// allocation happens unless a log is listening. The walk is one FIFO drain
+// per send, so the log keeps one "open hop" cursor that the data-plane
+// decision callback writes through.
 #pragma once
 
 #include <cstddef>
@@ -63,14 +63,6 @@ struct HopDecision {
   std::uint32_t vm_deliveries = 0;  // host hops: local member VMs served
 };
 
-// Decision callback the data plane writes through; implemented by
-// ProvenanceLog. Elements hold a nullable pointer to it (forwarding.h).
-class ProvenanceSink {
- public:
-  virtual ~ProvenanceSink() = default;
-  virtual void record_decision(const HopDecision& decision) = 0;
-};
-
 // One node of a send's decision tree: a packet replica arriving somewhere.
 struct ProvHop {
   topo::Layer layer = topo::Layer::kHost;
@@ -89,17 +81,9 @@ struct SendTrace {
   std::vector<ProvHop> hops;
 };
 
-// Trace-building primitives shared by ProvenanceLog's live cursor and the
-// batched walk, which assembles one SendTrace per send off to the side and
-// appends finished traces in send order (DESIGN.md §12).
-SendTrace make_trace(std::uint32_t group, std::uint32_t src_host,
-                     std::size_t bytes);
-std::size_t add_hop(SendTrace& trace, topo::Layer layer, std::uint32_t node,
-                    std::size_t parent, std::size_t bytes_in);
-void add_lost(SendTrace& trace, topo::Layer layer, std::uint32_t node,
-              std::size_t parent);
-
-class ProvenanceLog final : public ProvenanceSink {
+// The decision log the data plane writes through. Elements hold a nullable
+// pointer to it (forwarding.h).
+class ProvenanceLog {
  public:
   // Starts a new trace rooted at the sending host; returns the root index.
   std::size_t begin_send(std::uint32_t group, std::uint32_t src_host,
@@ -115,11 +99,7 @@ class ProvenanceLog final : public ProvenanceSink {
 
   // Writes into the hop most recently opened by begin_hop(). Ignored when
   // no trace or hop is open (elements driven outside a fabric walk).
-  void record_decision(const HopDecision& decision) override;
-
-  // Appends a trace assembled elsewhere (the batched walk builds per-send
-  // traces locally and commits them in send order). Closes any open hop.
-  void append_trace(SendTrace&& trace);
+  void record_decision(const HopDecision& decision);
 
   const std::vector<SendTrace>& sends() const noexcept { return sends_; }
   bool empty() const noexcept { return sends_.empty(); }

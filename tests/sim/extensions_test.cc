@@ -97,6 +97,44 @@ TEST_F(LossFixture, ZeroLossIsLossless) {
   EXPECT_EQ(result.host_copies.size(), 2u);
 }
 
+// Loss draws come from a per-send stream keyed by the send ordinal, so what a
+// send loses does not depend on how many draws earlier sends consumed. Two
+// fabrics with the same loss seed first send to a wide and a narrow group
+// respectively, then must see identical results for the same later sends.
+TEST_F(LossFixture, PerSendLossStreamIgnoresEarlierDraws) {
+  const auto wide = make_group({0, 5, 9, 17, 21, 33, 37, 49, 53, 61});
+  const auto narrow = make_group({0, 1});
+  const auto y = make_group({2, 6, 18, 22, 34, 38, 50, 54});
+  sim::Fabric other{topology};
+  for (const auto id : {wide, narrow, y}) other.install_group(controller, id);
+  fabric.set_loss(0.3, /*seed=*/77);
+  other.set_loss(0.3, /*seed=*/77);
+
+  for (int i = 0; i < 4; ++i) {
+    (void)fabric.send(0, controller.group(wide).address, 64);
+    (void)other.send(0, controller.group(narrow).address, 64);
+  }
+  // One draw per link transmission: the two fabrics consumed different
+  // numbers of draws before the sends under test.
+  ASSERT_GT(fabric.walk_stats().link_transmissions,
+            other.walk_stats().link_transmissions);
+
+  const auto address = controller.group(y).address;
+  std::size_t delivered = 0;
+  for (int i = 0; i < 8; ++i) {
+    SCOPED_TRACE("send " + std::to_string(i));
+    const auto a = fabric.send(2, address, 64);
+    const auto b = other.send(2, address, 64);
+    EXPECT_EQ(a.host_copies, b.host_copies);
+    EXPECT_EQ(a.vm_deliveries, b.vm_deliveries);
+    EXPECT_EQ(a.total_wire_bytes, b.total_wire_bytes);
+    EXPECT_EQ(a.total_link_transmissions, b.total_link_transmissions);
+    EXPECT_EQ(a.max_hops, b.max_hops);
+    delivered += a.host_copies.size();
+  }
+  EXPECT_LT(delivered, 8u * 7u);  // the sends under test were lossy
+}
+
 TEST_F(LossFixture, ReliableSessionRecoversEverything) {
   const auto id = make_group({0, 17, 33, 49, 5, 21, 37});
   fabric.set_loss(0.25, /*seed=*/31);
