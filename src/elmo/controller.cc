@@ -467,9 +467,16 @@ void Controller::restore_core(topo::CoreId core) {
 
 std::vector<std::uint8_t> Controller::header_for(GroupId group,
                                                  topo::HostId sender) const {
-  const auto& g = const_cast<Controller*>(this)->state(group);
-  const auto route = g.tree->sender_route(sender, failures_);
-  return encoder_->codec().serialize(route.encoding, g.encoding);
+  return header_for(group, sender,
+                    encoder_->codec().serialize_downstream(
+                        this->group(group).encoding));
+}
+
+std::vector<std::uint8_t> Controller::header_for(
+    GroupId group, topo::HostId sender,
+    std::span<const std::uint8_t> downstream) const {
+  const auto route = this->group(group).tree->sender_route(sender, failures_);
+  return encoder_->codec().serialize(route.encoding, downstream);
 }
 
 }  // namespace elmo

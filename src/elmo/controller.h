@@ -150,6 +150,12 @@ class Controller {
   // Serialized Elmo header a given sender's hypervisor would push.
   std::vector<std::uint8_t> header_for(GroupId group,
                                        topo::HostId sender) const;
+  // Same bytes, reusing the group's sender-independent suffix
+  // (encoder().codec().serialize_downstream of its encoding), so an install
+  // with many senders serializes the shared p-rules once.
+  std::vector<std::uint8_t> header_for(
+      GroupId group, topo::HostId sender,
+      std::span<const std::uint8_t> downstream) const;
 
  private:
   GroupState& state(GroupId group);

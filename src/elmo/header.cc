@@ -1,5 +1,6 @@
 #include "elmo/header.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace elmo {
@@ -10,20 +11,41 @@ constexpr unsigned kCountBits = 7;
 static_assert(kMaxRulesPerLayer == (1u << kCountBits) - 1,
               "kMaxRulesPerLayer must match the wire count field width");
 
-void write_upstream(net::BitWriter& out, const UpstreamRule& rule) {
-  out.write_bool(rule.multipath);
-  for (std::size_t p = 0; p < rule.up.size(); ++p) out.write_bool(rule.up.test(p));
-  for (std::size_t p = 0; p < rule.down.size(); ++p) {
-    out.write_bool(rule.down.test(p));
+// Port p sits at bit p % 64 of word p / 64; the wire carries port 0 first.
+constexpr std::uint64_t reverse_bits(std::uint64_t x) {
+  x = ((x >> 1) & 0x5555555555555555ull) | ((x & 0x5555555555555555ull) << 1);
+  x = ((x >> 2) & 0x3333333333333333ull) | ((x & 0x3333333333333333ull) << 2);
+  x = ((x >> 4) & 0x0f0f0f0f0f0f0f0full) | ((x & 0x0f0f0f0f0f0f0f0full) << 4);
+  return __builtin_bswap64(x);
+}
+
+// Writes `bitmap` as exactly `ports` bits, 64 at a time. parse reads the
+// layer's port count, so any other domain size would misalign every later
+// field.
+void write_bitmap(net::BitWriter& out, const net::PortBitmap& bitmap,
+                  std::size_t ports) {
+  if (bitmap.size() != ports) {
+    throw std::invalid_argument{"HeaderCodec: bitmap domain != layer ports"};
+  }
+  const auto words = bitmap.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const auto bits = static_cast<unsigned>(std::min<std::size_t>(
+        64, ports - w * 64));
+    out.write(reverse_bits(words[w]) >> (64 - bits), bits);
   }
 }
 
-}  // namespace
-
-void HeaderCodec::write_bitmap(net::BitWriter& out,
-                               const net::PortBitmap& bitmap) const {
-  for (std::size_t p = 0; p < bitmap.size(); ++p) out.write_bool(bitmap.test(p));
+void write_upstream(net::BitWriter& out, SectionTag tag,
+                    const UpstreamRule& rule, std::size_t up_ports,
+                    std::size_t down_ports) {
+  out.write(static_cast<std::uint64_t>(tag), kTagBits);
+  out.write_bool(rule.multipath);
+  write_bitmap(out, rule.up, up_ports);
+  write_bitmap(out, rule.down, down_ports);
+  out.align_to_byte();
 }
+
+}  // namespace
 
 net::PortBitmap HeaderCodec::read_bitmap(net::BitReader& in,
                                          std::size_t ports) const {
@@ -36,7 +58,7 @@ net::PortBitmap HeaderCodec::read_bitmap(net::BitReader& in,
 
 void HeaderCodec::write_rule_layer(
     net::BitWriter& out, SectionTag tag, const std::vector<PRule>& rules,
-    const std::optional<net::PortBitmap>& default_rule,
+    const std::optional<net::PortBitmap>& default_rule, std::size_t ports,
     unsigned id_bits) const {
   if (rules.empty() && !default_rule) return;  // omit empty section
   if (rules.size() > kMaxRulesPerLayer) {
@@ -49,44 +71,55 @@ void HeaderCodec::write_rule_layer(
     if (rule.switch_ids.empty()) {
       throw std::invalid_argument{"HeaderCodec: p-rule without switch ids"};
     }
-    write_bitmap(out, rule.bitmap);
+    write_bitmap(out, rule.bitmap, ports);
     for (std::size_t i = 0; i < rule.switch_ids.size(); ++i) {
+      if ((std::uint64_t{rule.switch_ids[i]} >> id_bits) != 0) {
+        throw std::invalid_argument{"HeaderCodec: switch id exceeds id bits"};
+      }
       out.write(rule.switch_ids[i], id_bits);
       out.write_bool(i + 1 < rule.switch_ids.size());
     }
   }
-  if (default_rule) write_bitmap(out, *default_rule);
+  if (default_rule) write_bitmap(out, *default_rule, ports);
   out.align_to_byte();
 }
 
 std::vector<std::uint8_t> HeaderCodec::serialize(
     const SenderEncoding& sender, const GroupEncoding& group) const {
+  return serialize(sender, serialize_downstream(group));
+}
+
+std::vector<std::uint8_t> HeaderCodec::serialize_downstream(
+    const GroupEncoding& group) const {
   net::BitWriter out;
+  write_rule_layer(out, SectionTag::kSpineRules, group.spine.p_rules,
+                   group.spine.default_rule, topo_->spine_down_ports(),
+                   topo_->pod_id_bits());
+  write_rule_layer(out, SectionTag::kLeafRules, group.leaf.p_rules,
+                   group.leaf.default_rule, topo_->leaf_down_ports(),
+                   topo_->leaf_id_bits());
+  out.write(static_cast<std::uint64_t>(SectionTag::kEnd), kTagBits);
+  return out.take();
+}
 
-  out.write(static_cast<std::uint64_t>(SectionTag::kULeaf), kTagBits);
-  write_upstream(out, sender.u_leaf);
-  out.align_to_byte();
-
+std::vector<std::uint8_t> HeaderCodec::serialize(
+    const SenderEncoding& sender,
+    std::span<const std::uint8_t> downstream) const {
+  net::BitWriter out;
+  write_upstream(out, SectionTag::kULeaf, sender.u_leaf,
+                 topo_->leaf_up_ports(), topo_->leaf_down_ports());
   if (sender.u_spine) {
-    out.write(static_cast<std::uint64_t>(SectionTag::kUSpine), kTagBits);
-    write_upstream(out, *sender.u_spine);
-    out.align_to_byte();
+    write_upstream(out, SectionTag::kUSpine, *sender.u_spine,
+                   topo_->spine_up_ports(), topo_->spine_down_ports());
   }
-
   if (sender.core_pods) {
     out.write(static_cast<std::uint64_t>(SectionTag::kCore), kTagBits);
-    write_bitmap(out, *sender.core_pods);
+    write_bitmap(out, *sender.core_pods, topo_->core_ports());
     out.align_to_byte();
   }
-
-  write_rule_layer(out, SectionTag::kSpineRules, group.spine.p_rules,
-                   group.spine.default_rule, topo_->pod_id_bits());
-  write_rule_layer(out, SectionTag::kLeafRules, group.leaf.p_rules,
-                   group.leaf.default_rule, topo_->leaf_id_bits());
-
-  out.write(static_cast<std::uint64_t>(SectionTag::kEnd), kTagBits);
-  out.align_to_byte();
-  return out.take();
+  auto bytes = out.take();
+  bytes.insert(bytes.end(), downstream.begin(), downstream.end());
+  return bytes;
 }
 
 ParsedHeader HeaderCodec::parse(std::span<const std::uint8_t> data) const {
@@ -159,7 +192,10 @@ std::vector<SectionExtent> HeaderCodec::scan_sections(
   std::vector<SectionExtent> extents;
   net::BitReader in{data};
 
-  auto skip_bitmap = [&](std::size_t ports) { in.read(static_cast<unsigned>(ports)); };
+  auto skip_bitmap = [&](std::size_t ports) {
+    for (; ports > 64; ports -= 64) in.read(64);  // BitReader reads <= 64
+    in.read(static_cast<unsigned>(ports));
+  };
   auto skip_rule_layer = [&](std::size_t ports, unsigned id_bits) {
     const bool has_default = in.read_bool();
     const auto count = in.read(kCountBits);

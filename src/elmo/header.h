@@ -17,6 +17,11 @@
 // Identifier widths derive from the topology: pod ids at the spine layer,
 // global leaf ids at the leaf layer. All size numbers reported by benches
 // come from this codec, not from closed-form estimates.
+//
+// The header splits where the paper's does (§3, Fig. 3): U_LEAF, U_SPINE and
+// CORE are sender-specific, while SPINE_RULES, LEAF_RULES and END depend only
+// on the group. Every section is byte-aligned, so the group part is an exact
+// byte suffix that an install serializes once and appends for each sender.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +72,19 @@ class HeaderCodec {
       : topo_{&topology} {}
 
   // ---- serialization ---------------------------------------------------
+  // Throws std::invalid_argument when a bitmap's domain differs from its
+  // layer's port count, a switch id does not fit the layer's id width, or a
+  // p-rule has no switch ids; std::length_error past kMaxRulesPerLayer.
   std::vector<std::uint8_t> serialize(const SenderEncoding& sender,
                                       const GroupEncoding& group) const;
+  // The sender-independent suffix: SPINE_RULES, LEAF_RULES and END.
+  std::vector<std::uint8_t> serialize_downstream(
+      const GroupEncoding& group) const;
+  // The sender's U_LEAF, U_SPINE and CORE sections followed by `downstream`,
+  // a suffix from serialize_downstream.
+  std::vector<std::uint8_t> serialize(
+      const SenderEncoding& sender,
+      std::span<const std::uint8_t> downstream) const;
 
   ParsedHeader parse(std::span<const std::uint8_t> data) const;
 
@@ -96,12 +112,11 @@ class HeaderCodec {
   std::size_t section_bits(std::size_t body_bits) const noexcept {
     return ((3 + body_bits + 7) / 8) * 8;  // tag + body, byte padded
   }
-  void write_bitmap(net::BitWriter& out, const net::PortBitmap& bitmap) const;
   net::PortBitmap read_bitmap(net::BitReader& in, std::size_t ports) const;
   void write_rule_layer(net::BitWriter& out, SectionTag tag,
                         const std::vector<PRule>& rules,
                         const std::optional<net::PortBitmap>& default_rule,
-                        unsigned id_bits) const;
+                        std::size_t ports, unsigned id_bits) const;
 
   const topo::ClosTopology* topo_;
 };

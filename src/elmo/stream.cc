@@ -291,50 +291,19 @@ void ControlPlane::diff_group(GroupId group, bool seed_only) {
   auto& mirror = mirror_[group];
   const bool live = controller_->has_group(group);
 
-  // Desired hypervisor flows, built exactly like Fabric::install_group.
+  // Desired rules: the full install p4rt would push for the group, indexed
+  // by rule location.
   std::map<topo::HostId, p4rt::Update> flows;
   std::map<std::pair<std::uint8_t, std::uint32_t>, p4rt::Update> srules;
   if (live) {
-    const auto& g = controller_->group(group);
-    mirror.address = g.address.value;
-    for (const auto& member : g.members) {
-      const auto [it, inserted] = flows.try_emplace(member.host);
-      auto& u = it->second;
-      if (inserted) {
-        u.kind = p4rt::UpdateKind::kHypervisorFlowAdd;
-        u.host = member.host;
-        u.group = g.address;
-        u.vni = g.tenant;
-      }
-      if (can_receive(member.role)) u.local_vms.push_back(member.vm);
-      if (can_send(member.role) && u.elmo_header.empty()) {
-        u.elmo_header = controller_->header_for(group, member.host);
-      }
-    }
-    for (const auto& [leaf, bitmap] : g.encoding.leaf.s_rules) {
-      p4rt::Update u;
-      u.kind = p4rt::UpdateKind::kSRuleAdd;
-      u.layer = topo::Layer::kLeaf;
-      u.switch_id = leaf;
-      u.group = g.address;
-      u.ports = bitmap;
-      srules.emplace(
-          std::pair{static_cast<std::uint8_t>(topo::Layer::kLeaf), leaf},
-          std::move(u));
-    }
-    const auto& t = controller_->topology();
-    for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
-      for (std::size_t plane = 0; plane < t.params().spines_per_pod; ++plane) {
-        const auto spine = t.spine_at(pod, plane);
-        p4rt::Update u;
-        u.kind = p4rt::UpdateKind::kSRuleAdd;
-        u.layer = topo::Layer::kSpine;
-        u.switch_id = spine;
-        u.group = g.address;
-        u.ports = bitmap;
-        srules.emplace(
-            std::pair{static_cast<std::uint8_t>(topo::Layer::kSpine), spine},
-            std::move(u));
+    mirror.address = controller_->group(group).address.value;
+    for (auto& u : p4rt::compile_install(*controller_, group)) {
+      if (u.kind == p4rt::UpdateKind::kHypervisorFlowAdd) {
+        const auto host = u.host;
+        flows.emplace(host, std::move(u));
+      } else {
+        const std::pair key{static_cast<std::uint8_t>(u.layer), u.switch_id};
+        srules.emplace(key, std::move(u));
       }
     }
   }

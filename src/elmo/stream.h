@@ -8,9 +8,9 @@
 // Delta computation keeps a compact mirror of what the fabric holds: one
 // 64-bit content hash per installed hypervisor flow (group, host) and per
 // installed s-rule (group, layer, physical switch). After each event the
-// affected group's desired state is rebuilt from the controller (exactly
-// mirroring Fabric::install_group semantics) and diffed against the mirror;
-// only changed entries become rule updates.
+// affected group's desired state is p4rt::compile_install's full install
+// (one flow per member host, spine s-rules fanned out to every plane),
+// diffed against the mirror; only changed entries become rule updates.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
@@ -150,7 +150,7 @@ class ControlPlane final : public MembershipDriver {
     std::map<std::pair<std::uint8_t, std::uint32_t>, std::uint64_t> srule_hash;
   };
 
-  // Rebuilds `group`'s desired rules from the controller and queues the
+  // Compiles `group`'s desired rules (p4rt::compile_install) and queues the
   // delta against the mirror. `seed_only` populates the mirror without
   // queueing (track_group).
   void diff_group(GroupId group, bool seed_only);

@@ -4,25 +4,30 @@ namespace elmo::net {
 
 void BitWriter::write(std::uint64_t value, unsigned bits) {
   if (bits > 64) throw std::invalid_argument{"BitWriter: bits > 64"};
-  for (unsigned i = bits; i-- > 0;) {
-    const bool bit = (value >> i) & 1;
-    const std::size_t byte = bit_count_ / 8;
-    if (byte == buffer_.size()) buffer_.push_back(0);
-    if (bit) {
-      buffer_[byte] |= static_cast<std::uint8_t>(1u << (7 - bit_count_ % 8));
-    }
-    ++bit_count_;
+  buffer_.resize((bit_count_ + bits + 7) / 8);  // new bytes start zeroed
+  // Fill the current byte's free low bits, then whole bytes, MSB-first. Each
+  // chunk takes only bits below `bits`, so higher bits of `value` never land.
+  while (bits > 0) {
+    const unsigned room = 8 - static_cast<unsigned>(bit_count_ % 8);
+    const unsigned n = room < bits ? room : bits;
+    bits -= n;
+    const auto chunk = static_cast<unsigned>(value >> bits) & ((1u << n) - 1);
+    buffer_[bit_count_ / 8] |= static_cast<std::uint8_t>(chunk << (room - n));
+    bit_count_ += n;
   }
 }
 
 void BitWriter::align_to_byte() {
-  while (bit_count_ % 8 != 0) write(0, 1);
+  // The partial final byte already exists and its unwritten bits are zero.
+  bit_count_ = (bit_count_ + 7) / 8 * 8;
 }
 
 std::vector<std::uint8_t> BitWriter::take() {
   align_to_byte();
   bit_count_ = 0;
-  return std::move(buffer_);
+  auto out = std::move(buffer_);
+  buffer_.clear();
+  return out;
 }
 
 std::uint64_t BitReader::read(unsigned bits) {

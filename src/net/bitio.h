@@ -16,7 +16,8 @@ namespace elmo::net {
 // Appends fields MSB-first into a byte vector; the final byte is zero-padded.
 class BitWriter {
  public:
-  // value's low `bits` bits are written, most significant first.
+  // value's low `bits` bits are written, most significant first; higher
+  // bits of `value` are ignored and `bits == 0` writes nothing.
   void write(std::uint64_t value, unsigned bits);
   void write_bool(bool value) { write(value ? 1 : 0, 1); }
 

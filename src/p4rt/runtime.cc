@@ -146,6 +146,11 @@ std::vector<Update> compile_install(const Controller& controller,
   const auto& g = controller.group(group);
   std::vector<Update> updates;
 
+  // The spine and leaf p-rules are the same for every sender: serialized at
+  // the first sender (never empty after: END is a byte), then appended to
+  // each sender's upstream sections.
+  std::vector<std::uint8_t> downstream;
+
   // One flow per host, merged across co-located members (mirrors
   // Fabric::install_group): a per-member update stream would overwrite the
   // host's flow on apply, dropping the earlier member's local VM (and its
@@ -162,7 +167,11 @@ std::vector<Update> compile_install(const Controller& controller,
     }
     if (can_receive(member.role)) u.local_vms.push_back(member.vm);
     if (can_send(member.role) && u.elmo_header.empty()) {
-      u.elmo_header = controller.header_for(group, member.host);
+      if (downstream.empty()) {
+        downstream =
+            controller.encoder().codec().serialize_downstream(g.encoding);
+      }
+      u.elmo_header = controller.header_for(group, member.host, downstream);
     }
   }
   for (auto& [host, u] : flows) {

@@ -74,7 +74,11 @@ struct Update {
 // merged per host across co-located members — one HYPERVISOR_FLOW_ADD per
 // distinct member host, exactly mirroring Fabric::install_group (a
 // per-member update stream would overwrite the host's flow and drop the
-// earlier members' local VMs).
+// earlier members' local VMs). stream::ControlPlane diffs this output
+// instead of re-deriving it; Fabric::install_group keeps its own copy as the
+// independent reference the equivalence tests compare against. The group's
+// shared downstream header suffix is serialized once per call, not once per
+// sender.
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group);
 std::vector<Update> compile_uninstall(const Controller& controller,

@@ -210,7 +210,8 @@ void Fabric::install_group(const elmo::Controller& controller,
   // One flow per host, merged across co-located members: installing per
   // member would overwrite the host's flow, dropping the earlier member's
   // local VM (and its header template) whenever two VMs of the group share
-  // a host.
+  // a host. Kept independent of p4rt::compile_install (and of its shared
+  // header suffix): the stream equivalence checks use this as the reference.
   std::map<topo::HostId, dp::HypervisorSwitch::GroupFlow> flows;
   for (const auto& member : g.members) {
     auto& flow = flows[member.host];

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+
 #include "elmo/churn.h"
+#include "elmo/header.h"
+#include "p4rt/runtime.h"
 
 namespace elmo {
 namespace {
@@ -200,6 +206,170 @@ TEST(Controller, FailureChangesIssuedHeaders) {
   EXPECT_TRUE(codec.parse(before).u_leaf->multipath);
   EXPECT_FALSE(codec.parse(after).u_leaf->multipath);
 }
+
+// ---- golden header bytes ----------------------------------------------------
+// Exact Controller::header_for wire bytes for fixed groups on two fabrics,
+// under all three encoders, once on the multipath fast path and once after a
+// spine failure (explicit u-spine and up ports). The bytes were recorded
+// with the original bit-at-a-time writer; any codec change that moves a bit
+// fails here. Every case also checks that p4rt::compile_install hands each
+// sending host exactly the header header_for builds.
+
+std::string hex_of(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const auto b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+struct GoldenCase {
+  const char* name;
+  topo::ClosParams params;
+  std::vector<Member> members;
+  topo::SpineId failed_spine;
+  // Expected header hex for `senders`, fast path then after fail_spine.
+  std::vector<topo::HostId> senders;
+  std::vector<std::string> fast_path;
+  std::vector<std::string> after_failure;
+};
+
+std::vector<GoldenCase> golden_cases(EncoderKind encoder) {
+  // Fig. 3's group plus a sender-only and a receiver-only VM, and a second
+  // VM co-located on Ha's host.
+  GoldenCase example{
+      "running_example",
+      topo::ClosParams::running_example(),
+      {{0, 0, MemberRole::kBoth}, {1, 1, MemberRole::kBoth},
+       {10, 2, MemberRole::kReceiver}, {12, 3, MemberRole::kBoth},
+       {13, 4, MemberRole::kBoth}, {15, 5, MemberRole::kSender},
+       {0, 6, MemberRole::kReceiver}},
+      /*failed_spine=*/3,
+      {0, 15},
+      {},
+      {}};
+  GoldenCase small_case{
+      "small_test",
+      topo::ClosParams::small_test(),
+      {{0, 0, MemberRole::kBoth}, {1, 1, MemberRole::kReceiver},
+       {5, 2, MemberRole::kBoth}, {9, 3, MemberRole::kBoth},
+       {17, 4, MemberRole::kBoth}, {18, 5, MemberRole::kSender},
+       {22, 6, MemberRole::kBoth}, {33, 7, MemberRole::kBoth},
+       {38, 8, MemberRole::kReceiver}, {49, 9, MemberRole::kBoth},
+       {50, 10, MemberRole::kBoth}, {63, 11, MemberRole::kBoth},
+       {5, 12, MemberRole::kBoth}},
+      /*failed_spine=*/5,
+      {0, 33},
+      {},
+      {}};
+  // The running example's group is small enough that all three encoders
+  // agree on it.
+  example.fast_path = {"3150668051cca058e54000", "3052748051cca058e54000"};
+  example.after_failure = {"2948668051cca058e54000",
+                           "284a748051cca058e54000"};
+  switch (encoder) {
+    case EncoderKind::kElmo:
+      small_case.fast_path = {"310051806e9058e4eeb044b920c9e000",
+                              "300051007a9058e4eeb044b920c9e000"};
+      small_case.after_failure = {"290049806e9058e4eeb044b920c9e000",
+                                  "280049007a9058e4eeb044b920c9e000"};
+      break;
+    case EncoderKind::kBert:
+      small_case.fast_path = {"310051806e805c56dcb058113170e000",
+                              "300051007a805c56dcb058113170e000"};
+      small_case.after_failure = {"290049806e805c56dcb058113170e000",
+                                  "280049007a805c56dcb058113170e000"};
+      break;
+    case EncoderKind::kP3fa:
+      small_case.fast_path = {"310051806e9058e709b04a322a61e000",
+                              "300051007a9058e709b04a322a61e000"};
+      small_case.after_failure = {"290049806e9058e709b04a322a61e000",
+                                  "280049007a9058e709b04a322a61e000"};
+      break;
+  }
+  return {example, small_case};
+}
+
+// Every sending host's compiled flow carries header_for's bytes.
+void expect_install_matches_header_for(const Controller& controller,
+                                       GroupId id) {
+  std::size_t with_header = 0;
+  for (const auto& u : p4rt::compile_install(controller, id)) {
+    if (u.kind != p4rt::UpdateKind::kHypervisorFlowAdd) continue;
+    const auto& members = controller.group(id).members;
+    const bool sends = std::any_of(
+        members.begin(), members.end(), [&](const Member& m) {
+          return m.host == u.host && can_send(m.role);
+        });
+    if (!sends) {
+      EXPECT_TRUE(u.elmo_header.empty()) << "host " << u.host;
+      continue;
+    }
+    EXPECT_EQ(u.elmo_header, controller.header_for(id, u.host))
+        << "host " << u.host;
+    ++with_header;
+  }
+  EXPECT_GT(with_header, 0u);
+}
+
+class GoldenHeaders : public ::testing::TestWithParam<EncoderKind> {};
+
+TEST_P(GoldenHeaders, HeaderForBytesArePinned) {
+  bool multi_id_spine = false;
+  bool multi_id_leaf = false;
+  bool default_rule = false;
+  for (const auto& c : golden_cases(GetParam())) {
+    SCOPED_TRACE(c.name);
+    const topo::ClosTopology t{c.params};
+    EncoderConfig cfg;
+    cfg.encoder = GetParam();
+    cfg.hmax_spine = 2;
+    cfg.hmax_leaf_override = 2;
+    cfg.kmax = 2;
+    cfg.kmax_spine = 2;
+    cfg.srule_capacity = 0;  // overflow lands in the default p-rule
+    Controller controller{t, cfg};
+    const auto id = controller.create_group(4, c.members);
+
+    const auto& enc = controller.group(id).encoding;
+    for (const auto& r : enc.spine.p_rules) {
+      multi_id_spine |= r.switch_ids.size() > 1;
+    }
+    for (const auto& r : enc.leaf.p_rules) {
+      multi_id_leaf |= r.switch_ids.size() > 1;
+    }
+    default_rule |= enc.spine.default_rule || enc.leaf.default_rule;
+
+    for (const bool failed : {false, true}) {
+      SCOPED_TRACE(failed ? "after fail_spine" : "fast path");
+      if (failed) controller.fail_spine(c.failed_spine);
+      const auto& expected = failed ? c.after_failure : c.fast_path;
+      for (std::size_t i = 0; i < c.senders.size(); ++i) {
+
+        EXPECT_EQ(hex_of(controller.header_for(id, c.senders[i])),
+                  expected[i])
+            << "sender " << c.senders[i];
+      }
+      expect_install_matches_header_for(controller, id);
+    }
+  }
+  EXPECT_TRUE(multi_id_spine);
+  EXPECT_TRUE(multi_id_leaf);
+  EXPECT_TRUE(default_rule);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEncoders, GoldenHeaders,
+                         ::testing::ValuesIn(kAllEncoderKinds),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case EncoderKind::kElmo: return std::string{"Elmo"};
+                             case EncoderKind::kBert: return std::string{"Bert"};
+                             case EncoderKind::kP3fa: return std::string{"P3fa"};
+                           }
+                           return std::string{"Unknown"};
+                         });
 
 }  // namespace
 }  // namespace elmo

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.h"
 
 namespace elmo {
@@ -158,6 +160,88 @@ TEST(HeaderCodec, RejectsTooManyRules) {
   EXPECT_THROW(codec.serialize(sender, g), std::length_error);
 }
 
+TEST(HeaderCodec, RejectsBitmapOfWrongDomain) {
+  // parse reads each layer's port count; a bitmap of any other size would
+  // shift every later field.
+  const auto t = example_topo();
+  const HeaderCodec codec{t};
+  const auto group = simple_group(t);
+
+  auto sender = simple_sender(t);
+  sender.u_leaf.down = net::PortBitmap{t.leaf_down_ports() + 1};
+  EXPECT_THROW(codec.serialize(sender, group), std::invalid_argument);
+
+  sender = simple_sender(t);
+  sender.u_spine->up = net::PortBitmap{};
+  EXPECT_THROW(codec.serialize(sender, group), std::invalid_argument);
+
+  sender = simple_sender(t);
+  sender.core_pods = net::PortBitmap{t.core_ports() - 1};
+  EXPECT_THROW(codec.serialize(sender, group), std::invalid_argument);
+
+  auto bad_rule = simple_group(t);
+  bad_rule.leaf.p_rules[0].bitmap = net::PortBitmap{t.spine_down_ports() + 3};
+  EXPECT_THROW(codec.serialize(simple_sender(t), bad_rule),
+               std::invalid_argument);
+  EXPECT_THROW(codec.serialize_downstream(bad_rule), std::invalid_argument);
+
+  auto bad_default = simple_group(t);
+  bad_default.spine.default_rule = net::PortBitmap{1};
+  EXPECT_THROW(codec.serialize(simple_sender(t), bad_default),
+               std::invalid_argument);
+}
+
+TEST(HeaderCodec, RejectsSwitchIdWiderThanIdBits) {
+  const auto t = example_topo();
+  const HeaderCodec codec{t};
+  auto leaf = simple_group(t);
+  leaf.leaf.p_rules[1].switch_ids = {5, 1u << t.leaf_id_bits()};
+  EXPECT_THROW(codec.serialize(simple_sender(t), leaf),
+               std::invalid_argument);
+
+  auto spine = simple_group(t);
+  spine.spine.p_rules[0].switch_ids = {1u << t.pod_id_bits()};
+  EXPECT_THROW(codec.serialize_downstream(spine), std::invalid_argument);
+
+  // The widest id that fits still round-trips.
+  auto widest = simple_group(t);
+  const auto max_leaf = (1u << t.leaf_id_bits()) - 1;
+  widest.leaf.p_rules[1].switch_ids = {max_leaf};
+  const auto parsed = codec.parse(codec.serialize(simple_sender(t), widest));
+  ASSERT_EQ(parsed.leaf_rules.size(), 2u);
+  EXPECT_EQ(parsed.leaf_rules[1].switch_ids,
+            (std::vector<std::uint32_t>{max_leaf}));
+}
+
+TEST(HeaderCodec, DownstreamIsTheSenderIndependentSuffix) {
+  const auto t = example_topo();
+  const HeaderCodec codec{t};
+  const auto group = simple_group(t);
+  const auto downstream = codec.serialize_downstream(group);
+  for (const bool spine_and_core : {false, true}) {
+    auto sender = simple_sender(t);
+    if (!spine_and_core) {
+      sender.u_spine.reset();
+      sender.core_pods.reset();
+    }
+    const auto full = codec.serialize(sender, group);
+    EXPECT_EQ(codec.serialize(sender, downstream), full);
+    ASSERT_GT(full.size(), downstream.size());
+    EXPECT_TRUE(std::equal(downstream.begin(), downstream.end(),
+                           full.end() - static_cast<std::ptrdiff_t>(
+                                            downstream.size())));
+    // The suffix starts at the first rule section.
+    for (const auto& s : codec.scan_sections(full)) {
+      if (s.tag == SectionTag::kSpineRules) {
+        EXPECT_EQ(s.begin, full.size() - downstream.size());
+      }
+    }
+  }
+  // A group with no p-rules contributes only the END byte.
+  EXPECT_EQ(codec.serialize_downstream(GroupEncoding{}),
+            (std::vector<std::uint8_t>{0x00}));
+}
+
 TEST(HeaderCodec, MaxHeaderBytesMonotoneInRules) {
   const auto t = example_topo();
   const HeaderCodec codec{t};
@@ -193,44 +277,109 @@ TEST(HeaderCodec, DeriveHmaxHonorsOverride) {
   EXPECT_EQ(codec.derive_hmax_leaf(cfg), 10u);
 }
 
-TEST(HeaderCodec, RandomEncodingsRoundTrip) {
-  const topo::ClosTopology fabric{topo::ClosParams::small_test()};
+// Random full headers (both upstream sections, core, spine and leaf rule
+// layers with defaults) survive serialize -> parse, and the suffix-taking
+// serialize reproduces the one-call bytes.
+void random_encodings_round_trip(const topo::ClosTopology& fabric,
+                                 std::uint64_t seed, int trials) {
   const HeaderCodec codec{fabric};
-  util::Rng rng{404};
-  for (int trial = 0; trial < 200; ++trial) {
-    SenderEncoding sender;
-    sender.u_leaf.down = net::PortBitmap{fabric.leaf_down_ports()};
-    sender.u_leaf.up = net::PortBitmap{fabric.leaf_up_ports()};
-    for (std::size_t p = 0; p < fabric.leaf_down_ports(); ++p) {
-      if (rng.bernoulli(0.3)) sender.u_leaf.down.set(p);
+  util::Rng rng{seed};
+  auto random_bitmap = [&](std::size_t ports, double p) {
+    net::PortBitmap b{ports};
+    for (std::size_t i = 0; i < ports; ++i) {
+      if (rng.bernoulli(p)) b.set(i);
     }
-    sender.u_leaf.multipath = rng.bernoulli(0.5);
-
-    GroupEncoding group;
-    const auto nrules = rng.index(5);
-    for (std::size_t r = 0; r < nrules; ++r) {
-      PRule rule;
-      rule.bitmap = net::PortBitmap{fabric.leaf_down_ports()};
-      for (std::size_t p = 0; p < fabric.leaf_down_ports(); ++p) {
-        if (rng.bernoulli(0.4)) rule.bitmap.set(p);
-      }
+    return b;
+  };
+  auto random_rules = [&](std::size_t ports, std::size_t ids) {
+    std::vector<PRule> rules(rng.index(5));
+    for (auto& rule : rules) {
+      rule.bitmap = random_bitmap(ports, 0.4);
       const auto nids = 1 + rng.index(3);
       for (std::size_t i = 0; i < nids; ++i) {
-        rule.switch_ids.push_back(
-            static_cast<std::uint32_t>(rng.index(fabric.num_leaves())));
+        rule.switch_ids.push_back(static_cast<std::uint32_t>(rng.index(ids)));
       }
-      group.leaf.p_rules.push_back(std::move(rule));
     }
+    return rules;
+  };
+  for (int trial = 0; trial < trials; ++trial) {
+    SenderEncoding sender;
+    sender.u_leaf.up = random_bitmap(fabric.leaf_up_ports(), 0.3);
+    sender.u_leaf.down = random_bitmap(fabric.leaf_down_ports(), 0.3);
+    sender.u_leaf.multipath = rng.bernoulli(0.5);
+    if (rng.bernoulli(0.7)) {
+      UpstreamRule u_spine;
+      u_spine.up = random_bitmap(fabric.spine_up_ports(), 0.3);
+      u_spine.down = random_bitmap(fabric.spine_down_ports(), 0.3);
+      u_spine.multipath = rng.bernoulli(0.5);
+      sender.u_spine = std::move(u_spine);
+      if (rng.bernoulli(0.7)) {
+        sender.core_pods = random_bitmap(fabric.core_ports(), 0.5);
+      }
+    }
+
+    GroupEncoding group;
+    group.spine.p_rules =
+        random_rules(fabric.spine_down_ports(), fabric.num_pods());
+    group.leaf.p_rules =
+        random_rules(fabric.leaf_down_ports(), fabric.num_leaves());
+    if (rng.bernoulli(0.3)) {
+      group.spine.default_rule = random_bitmap(fabric.spine_down_ports(), 0.5);
+    }
+    if (rng.bernoulli(0.3)) {
+      group.leaf.default_rule = random_bitmap(fabric.leaf_down_ports(), 0.5);
+    }
+
     const auto bytes = codec.serialize(sender, group);
+    EXPECT_EQ(codec.serialize(sender, codec.serialize_downstream(group)),
+              bytes);
+    EXPECT_EQ(codec.header_length(bytes), bytes.size());
     const auto parsed = codec.parse(bytes);
     ASSERT_TRUE(parsed.u_leaf);
+    EXPECT_EQ(parsed.u_leaf->up, sender.u_leaf.up);
     EXPECT_EQ(parsed.u_leaf->down, sender.u_leaf.down);
     EXPECT_EQ(parsed.u_leaf->multipath, sender.u_leaf.multipath);
-    ASSERT_EQ(parsed.leaf_rules.size(), group.leaf.p_rules.size());
-    for (std::size_t r = 0; r < nrules; ++r) {
-      EXPECT_EQ(parsed.leaf_rules[r], group.leaf.p_rules[r]);
+    ASSERT_EQ(parsed.u_spine.has_value(), sender.u_spine.has_value());
+    if (sender.u_spine) {
+      EXPECT_EQ(parsed.u_spine->up, sender.u_spine->up);
+      EXPECT_EQ(parsed.u_spine->down, sender.u_spine->down);
+      EXPECT_EQ(parsed.u_spine->multipath, sender.u_spine->multipath);
     }
+    EXPECT_EQ(parsed.core_pods, sender.core_pods);
+    EXPECT_EQ(parsed.spine_rules, group.spine.p_rules);
+    EXPECT_EQ(parsed.spine_default, group.spine.default_rule);
+    EXPECT_EQ(parsed.leaf_rules, group.leaf.p_rules);
+    EXPECT_EQ(parsed.leaf_default, group.leaf.default_rule);
   }
+}
+
+TEST(HeaderCodec, RandomHeadersWiderThan64PortsRoundTrip) {
+  // 100 host ports per leaf and 70 leaves per pod: every leaf and spine
+  // downstream bitmap crosses a 64-bit word boundary. The paper fabric's
+  // bitmaps are at most 48 bits wide and never do.
+  const topo::ClosTopology fabric{topo::ClosParams{.pods = 3,
+                                                   .leaves_per_pod = 70,
+                                                   .spines_per_pod = 2,
+                                                   .cores_per_plane = 2,
+                                                   .hosts_per_leaf = 100}};
+  ASSERT_GT(fabric.leaf_down_ports(), 64u);
+  ASSERT_GT(fabric.spine_down_ports(), 64u);
+  random_encodings_round_trip(fabric, 606, 100);
+
+  // Past 128 ports a PortBitmap moves its words to the heap; 200 ports is
+  // three full words and a partial fourth.
+  const topo::ClosTopology wider{topo::ClosParams{.pods = 2,
+                                                  .leaves_per_pod = 4,
+                                                  .spines_per_pod = 2,
+                                                  .cores_per_plane = 2,
+                                                  .hosts_per_leaf = 200}};
+  ASSERT_GT(wider.leaf_down_ports(), 128u);
+  random_encodings_round_trip(wider, 707, 100);
+}
+
+TEST(HeaderCodec, RandomEncodingsRoundTrip) {
+  random_encodings_round_trip(
+      topo::ClosTopology{topo::ClosParams::small_test()}, 404, 200);
 }
 
 }  // namespace

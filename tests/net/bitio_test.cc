@@ -42,6 +42,102 @@ TEST(BitWriter, RejectsOver64Bits) {
   EXPECT_THROW(out.write(0, 65), std::invalid_argument);
 }
 
+TEST(BitWriter, MasksBitsAboveWidth) {
+  // Only the low `bits` bits of a value are the field. The rest must land
+  // nowhere: not in the fields around it, not in the padding, whether the
+  // field starts on a byte boundary or inside a byte.
+  BitWriter out;
+  out.write(0xFF, 3);
+  out.write(0, 5);
+  out.write(0, 2);
+  out.write(~0ULL, 3);
+  out.write(0xFA, 3);
+  out.write(~0ULL, 1);
+  const auto bytes = out.take();
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0b11100000, 0b00111010,
+                                              0b10000000}));
+}
+
+TEST(BitWriter, ZeroWidthWriteIsNoOp) {
+  BitWriter out;
+  out.write(0xFF, 0);
+  EXPECT_EQ(out.bit_count(), 0u);
+  EXPECT_TRUE(out.bytes().empty());
+  out.write(1, 1);
+  out.write(~0ULL, 0);
+  EXPECT_EQ(out.bit_count(), 1u);
+  const auto bytes = out.take();
+  ASSERT_EQ(bytes.size(), 1u);
+  EXPECT_EQ(bytes[0], 0x80);
+}
+
+TEST(BitWriter, AlignOnAlignedStreamAddsNothing) {
+  BitWriter out;
+  out.align_to_byte();
+  EXPECT_EQ(out.bit_count(), 0u);
+  out.write(0xab, 8);
+  out.align_to_byte();
+  EXPECT_EQ(out.bit_count(), 8u);
+  EXPECT_EQ(out.byte_count(), 1u);
+  out.write(0x3, 2);
+  out.align_to_byte();
+  out.align_to_byte();
+  EXPECT_EQ(out.bit_count(), 16u);
+  const auto bytes = out.take();
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0xab, 0xc0}));
+}
+
+TEST(BitWriter, TakeResetsTheWriter) {
+  BitWriter out;
+  out.write(0x5, 3);
+  EXPECT_EQ(out.take(), (std::vector<std::uint8_t>{0xa0}));
+  out.write(0x1, 1);
+  EXPECT_EQ(out.take(), (std::vector<std::uint8_t>{0x80}));
+}
+
+// Property: mixed widths 0..64 at random bit offsets (a random-length
+// prefix, byte alignments sprinkled in) read back with BitReader; the
+// values carry random bits above their width, which must be dropped.
+TEST(BitWriter, MixedWidthsAtRandomOffsetsRoundTrip) {
+  util::Rng rng{2024};
+  for (int trial = 0; trial < 200; ++trial) {
+    struct Field {
+      std::uint64_t value;
+      unsigned bits;
+      bool align_before;
+    };
+    std::vector<Field> fields;
+    BitWriter out;
+    const auto prefix = static_cast<unsigned>(rng.index(64));
+    out.write(rng(), prefix);
+    for (int i = 0; i < 40; ++i) {
+      const Field f{rng(), static_cast<unsigned>(rng.index(65)),
+                    rng.bernoulli(0.1)};
+      if (f.align_before) out.align_to_byte();
+      out.write(f.value, f.bits);
+      fields.push_back(f);
+    }
+    const auto total_bits = out.bit_count();
+    const auto bytes = out.take();
+    ASSERT_EQ(bytes.size(), (total_bits + 7) / 8);
+
+    BitReader in{bytes};
+    in.read(prefix);
+    for (const auto& f : fields) {
+      if (f.align_before) in.align_to_byte();
+      const std::uint64_t mask =
+          f.bits == 64 ? ~0ULL : ((1ULL << f.bits) - 1);
+      ASSERT_EQ(in.read(f.bits), f.value & mask)
+          << "trial " << trial << " width " << f.bits;
+    }
+    EXPECT_EQ(in.bit_position(), total_bits);
+    // Padding after the last field is zero.
+    if (in.bits_remaining() > 0) {
+      EXPECT_EQ(in.read(static_cast<unsigned>(in.bits_remaining())), 0u);
+    }
+  }
+}
+
 TEST(BitReader, ReadsBackWriterOutput) {
   BitWriter out;
   out.write(0x2a, 7);
