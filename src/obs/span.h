@@ -3,7 +3,7 @@
 // nothing (not even a clock read) when it is disabled at construction.
 //
 // The named constructor additionally mirrors the span onto the process-wide
-// obs::Tracer (the "phases" lane of the unified timeline, DESIGN.md §15)
+// obs::Tracer (the "phases" lane of the trace timeline, DESIGN.md §15)
 // when one is installed via set_global_tracer. With no tracer installed the
 // extra cost is one relaxed atomic load — the documented zero-cost disabled
 // path is preserved.

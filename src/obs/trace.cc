@@ -11,7 +11,7 @@ namespace {
 std::atomic<Tracer*> g_tracer{nullptr};
 
 // chrome://tracing wants decimal microseconds; fixed 3 digits keeps the
-// files diffable (same convention as the FlightRecorder).
+// files diffable.
 void append_us(std::string& out, double us) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", us);
@@ -100,7 +100,8 @@ TraceContext Tracer::begin_span(const char* name, TraceLane lane,
   return record(SpanRecord::Kind::kSpan, name, lane, parent, attrs);
 }
 
-void Tracer::end_span(const TraceContext& span) {
+void Tracer::end_span(const TraceContext& span,
+                      std::initializer_list<TraceAttr> attrs) {
   if (span.span_id == 0) return;  // dropped at begin; already accounted
   const double now = now_us();
   std::lock_guard<std::mutex> lock{mu_};
@@ -110,6 +111,10 @@ void Tracer::end_span(const TraceContext& span) {
       if (it->kind == SpanRecord::Kind::kSpan && it->dur_us < 0) {
         it->dur_us = now - it->ts_us;
         --open_;
+        for (const auto& a : attrs) {
+          if (it->nattrs >= kMaxTraceAttrs) break;
+          it->attrs[it->nattrs++] = a;
+        }
       }
       return;
     }
@@ -173,10 +178,11 @@ void Tracer::clear() {
   spans_ = instants_ = flows_ = dropped_ = orphans_ = open_ = 0;
 }
 
-void Tracer::append_chrome_events(std::string& out, bool& first,
-                                  double ts_offset_us) const {
+std::string Tracer::chrome_trace_json() const {
   std::lock_guard<std::mutex> lock{mu_};
   const double now = now_us();
+  std::string out = "{\"traceEvents\": [\n";
+  bool first = true;
   auto emit = [&](const std::string& event) {
     if (!first) out += ",\n";
     first = false;
@@ -244,7 +250,7 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
         ev += "\"ph\": \"X\", \"pid\": 2, \"tid\": ";
         append_u64(ev, static_cast<std::uint64_t>(rec.lane));
         ev += ", \"ts\": ";
-        append_us(ev, rec.ts_us + ts_offset_us);
+        append_us(ev, rec.ts_us);
         ev += ", \"dur\": ";
         append_us(ev, open ? now - rec.ts_us : rec.dur_us);
         ev += ", \"args\": {";
@@ -257,7 +263,7 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
         ev += "\"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": ";
         append_u64(ev, static_cast<std::uint64_t>(rec.lane));
         ev += ", \"ts\": ";
-        append_us(ev, rec.ts_us + ts_offset_us);
+        append_us(ev, rec.ts_us);
         ev += ", \"args\": {";
         common_args(ev, rec);
         ev += "}}";
@@ -269,7 +275,7 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
         std::string base = "\"cat\": \"causal\", \"id\": ";
         append_u64(base, rec.span_id);
         base += ", \"pid\": 2, \"ts\": ";
-        append_us(base, rec.ts_us + ts_offset_us);
+        append_us(base, rec.ts_us);
         base += ", \"args\": {\"trace\": ";
         append_u64(base, rec.trace_id);
         base += ", \"from_span\": ";
@@ -295,14 +301,24 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
     }
     emit(ev);
   }
-}
-
-std::string Tracer::chrome_trace_json() const {
-  std::string out = "{\"traceEvents\": [\n";
-  bool first = true;
-  append_chrome_events(out, first, 0.0);
   out += "\n]}\n";
   return out;
+}
+
+bool Tracer::write(const std::string& path) const {
+  const auto text = chrome_trace_json();
+  if (path == "-") {
+    std::fwrite(text.data(), 1, text.size(), stderr);
+    return true;
+  }
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "Tracer: cannot open %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return true;
 }
 
 void set_global_tracer(Tracer* tracer) noexcept {

@@ -8,7 +8,12 @@
 // tree is live (the join-to-first-packet "time-to-effect" loop closed by
 // sim::Fabric).
 //
-// Design constraints, mirroring the FlightRecorder (DESIGN.md §9):
+// It is also the one store the fabric walk records into: with a tracer
+// attached (sim::Fabric::set_tracer), every send is a "send" span on the
+// data lane with one child span per hop (DESIGN.md §9), so the churn loop
+// and the walks it affects share one clock and one export.
+//
+// Design constraints:
 //   * Opt-in observer: producers hold a raw `Tracer*` and test it for null
 //     before doing any work — a detached tracer costs one branch.
 //   * Bounded: at most `max_events` records are kept. A begin_span on a
@@ -16,14 +21,15 @@
 //     and bumps `dropped`; children recorded under a dropped parent are
 //     counted as `orphans` and exported parentless so the timeline stays
 //     well-formed. end_span on a dropped context is a no-op.
+//   * Records are kept in start order (a span is appended when it opens and
+//     patched in place when it closes), so one producer's timestamps never
+//     regress within a lane.
 //   * Names and attribute keys are `const char*` string literals; attrs are
 //     numeric and capped at kMaxTraceAttrs per record — recording never
 //     allocates beyond the (reserved) record vector.
 //
-// Export is chrome://tracing JSON on process id 2 (the FlightRecorder owns
-// pid 1), one thread lane per TraceLane, with "s"/"f" flow events carrying
-// the cross-lane causal edges. sim::unified_trace_json (flight_recorder.h)
-// merges both stores onto a shared clock for the single-timeline view.
+// Export is chrome://tracing JSON (process id 2), one thread lane per
+// TraceLane, with "s"/"f" flow events carrying the cross-lane causal edges.
 #pragma once
 
 #include <chrono>
@@ -114,9 +120,6 @@ class Tracer {
 
   // Microseconds since this tracer was constructed (steady clock).
   double now_us() const noexcept;
-  std::chrono::steady_clock::time_point origin() const noexcept {
-    return origin_;
-  }
 
   // Opens a span. With a null parent (trace_id == 0) a fresh trace is
   // minted and the span is its root; otherwise the span joins the parent's
@@ -124,7 +127,10 @@ class Tracer {
   TraceContext begin_span(const char* name, TraceLane lane,
                           TraceContext parent = {},
                           std::initializer_list<TraceAttr> attrs = {});
-  void end_span(const TraceContext& span);
+  // Closes `span`, appending `attrs` to the ones it opened with (capped at
+  // kMaxTraceAttrs in total) — for values known only at the end.
+  void end_span(const TraceContext& span,
+                std::initializer_list<TraceAttr> attrs = {});
 
   // Point-in-time event in `parent`'s trace (or a fresh trace if null).
   // Returns a context usable as a flow endpoint.
@@ -142,14 +148,11 @@ class Tracer {
   std::vector<SpanRecord> snapshot() const;
   void clear();
 
-  // Tracer-only chrome://tracing document (pid 2). For the merged
-  // control+data timeline use sim::unified_trace_json.
+  // chrome://tracing document: lane metadata, the elmo_tracer_stats
+  // accounting record, then every record in start order.
   std::string chrome_trace_json() const;
-  // Appends this tracer's metadata + events (pid 2) to an in-progress
-  // chrome JSON event array; `first` tracks comma placement and `ts_offset_us`
-  // shifts every timestamp (clock alignment for merged exports).
-  void append_chrome_events(std::string& out, bool& first,
-                            double ts_offset_us) const;
+  // Writes chrome_trace_json() to `path` ("-" = stderr).
+  bool write(const std::string& path) const;
 
   static constexpr std::size_t kDefaultMaxEvents = 1 << 16;
 
@@ -174,7 +177,7 @@ class Tracer {
 
 // Process-wide tracer hook for obs::Span's tracer-emitting constructor
 // (span.h): tools that want controller/cluster/pool phase spans on the
-// unified timeline install their Tracer here for the run. Null by default;
+// timeline install their Tracer here for the run. Null by default;
 // the disabled path stays one relaxed atomic load.
 void set_global_tracer(Tracer* tracer) noexcept;
 Tracer* global_tracer() noexcept;

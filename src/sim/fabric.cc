@@ -6,7 +6,6 @@
 
 #include "obs/span.h"
 #include "obs/timeseries.h"
-#include "sim/flight_recorder.h"
 
 namespace elmo::sim {
 
@@ -42,6 +41,10 @@ FabricMetricIds& fabric_metric_ids() {
 }
 
 constexpr std::size_t kMaxHops = 8;  // > any Clos path; catches loops
+
+// Hop span names, indexed by topo::Layer (string literals: the tracer keeps
+// the pointer).
+constexpr const char* kLayerSpanNames[] = {"host", "leaf", "spine", "core"};
 
 }  // namespace
 
@@ -357,8 +360,13 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
 
   std::optional<obs::Span> span;
   ELMO_METRIC(span.emplace(reg, fabric_metric_ids().send_seconds));
-  if (recorder_ != nullptr) {
-    recorder_->send_begin(walk_stats_.sends, group.value, src);
+  obs::TraceContext send_span;
+  if (tracer_ != nullptr) {
+    send_span = tracer_->begin_span(
+        "send", obs::TraceLane::kData, {},
+        {{"group", static_cast<double>(group.value)},
+         {"src_host", static_cast<double>(src)},
+         {"send_index", static_cast<double>(walk_stats_.sends)}});
   }
   ++walk_stats_.sends;
   auto loss_rng = util::Rng::stream(loss_seed_, send_ordinal_++);
@@ -397,8 +405,20 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       }
     }
 
-    double item_start_us = 0;
-    if (recorder_ != nullptr) item_start_us = recorder_->now_us();
+    obs::TraceContext hop_span;
+    if (tracer_ != nullptr) {
+      hop_span = tracer_->begin_span(
+          kLayerSpanNames[static_cast<std::size_t>(item.at.layer)],
+          obs::TraceLane::kData, send_span,
+          {{"node", static_cast<double>(item.at.id)},
+           {"hop", static_cast<double>(item.hops)}});
+    }
+    const auto end_hop = [&](std::size_t fanout) {
+      if (tracer_ == nullptr) return;
+      tracer_->end_span(hop_span,
+                        {{"fanout", static_cast<double>(fanout)},
+                         {"queue_depth", static_cast<double>(queue_.size())}});
+    };
 
     std::size_t prov_hop = obs::kNoProvParent;
     if (prov_ != nullptr) {
@@ -413,12 +433,7 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       // Hypervisor emissions are per-VM payload deliveries, not wire hops.
       result.vm_deliveries += emissions.size();
       walk_stats_.vm_deliveries += emissions.size();
-      if (recorder_ != nullptr) {
-        recorder_->process(item.at, item_start_us,
-                           static_cast<std::uint32_t>(emissions.size()),
-                           static_cast<std::uint32_t>(queue_.size()),
-                           static_cast<std::uint32_t>(item.hops));
-      }
+      end_hop(emissions.size());
       continue;
     }
     const auto from_index = node_index(item.at);
@@ -447,13 +462,9 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
     }
     walk_stats_.max_queue_depth = std::max<std::uint64_t>(
         walk_stats_.max_queue_depth, queue_.size());
-    if (recorder_ != nullptr) {
-      recorder_->process(item.at, item_start_us,
-                         static_cast<std::uint32_t>(emissions.size()),
-                         static_cast<std::uint32_t>(queue_.size()),
-                         static_cast<std::uint32_t>(item.hops));
-    }
+    end_hop(emissions.size());
   }
+  if (tracer_ != nullptr) tracer_->end_span(send_span);
   return result;
 }
 

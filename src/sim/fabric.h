@@ -51,8 +51,6 @@ class TimeSeriesStore;
 
 namespace elmo::sim {
 
-class FlightRecorder;
-
 // One endpoint of the walk: either a network switch or a host hypervisor.
 struct NodeRef {
   topo::Layer layer = topo::Layer::kHost;
@@ -179,13 +177,6 @@ class Fabric {
   // window closes. Allocation-free after the first call (DESIGN.md §14).
   void sample_into(obs::TimeSeriesStore& store) const;
 
-  // Optional flight recorder (nullptr detaches). Not owned; must outlive the
-  // sends it observes. A detached fabric pays one pointer test per work item.
-  void set_recorder(FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
-  FlightRecorder* recorder() const noexcept { return recorder_; }
-
   // Optional decision-provenance log (nullptr detaches). Attaches the log to
   // every forwarding element so each send() grows one decision tree in it
   // (DESIGN.md §10). Not owned; must outlive the sends it observes.
@@ -194,10 +185,16 @@ class Fabric {
 
   // --- Causal tracing & time-to-effect (DESIGN.md §15) ---------------------
   // Optional tracer (nullptr detaches; not owned, must outlive the fabric's
-  // use of it). The tracer itself is passive here; it powers the TTE watches
-  // below. With no watches armed the walk pays one empty() test per
-  // host-copy delivery.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
+  // use of it). While attached, every send() records a "send" span on the
+  // data lane (group, src_host, send_index) with one child span per work
+  // item, named after the node's layer (node, hop, fanout, queue_depth),
+  // and the tracer powers the TTE watches below. A detached fabric pays one
+  // pointer test per work item. Changing the tracer drops every open watch:
+  // its ingest time was taken on the old tracer's clock.
+  void set_tracer(obs::Tracer* tracer) noexcept {
+    if (tracer != tracer_) tte_watches_.clear();
+    tracer_ = tracer;
+  }
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
   // Registers a time-to-effect watch for (group address, host) on behalf of
@@ -292,7 +289,6 @@ class Fabric {
   void ensure_link_classes() const;
   mutable std::vector<std::uint8_t> link_class_;
   FabricWalkStats walk_stats_;
-  FlightRecorder* recorder_ = nullptr;
   obs::ProvenanceLog* prov_ = nullptr;
 
   // Time-to-effect watches keyed by (group address, host). Non-empty only

@@ -61,6 +61,22 @@ TEST(TraceSpans, AttrsAreCappedAtMax) {
   EXPECT_EQ(records[0].attrs[3].value, 4.0);
 }
 
+TEST(TraceSpans, EndAttrsAppendUpToMax) {
+  Tracer tracer;
+  const auto ctx = tracer.begin_span("hop", TraceLane::kData, {},
+                                     {{"node", 3}, {"hop", 1}});
+  tracer.end_span(ctx, {{"fanout", 2}, {"queue_depth", 5}, {"extra", 9}});
+  tracer.end_span(ctx, {{"late", 1}});  // already closed: no-op
+  const auto records = tracer.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records[0].nattrs, kMaxTraceAttrs);
+  EXPECT_STREQ(records[0].attrs[0].key, "node");
+  EXPECT_STREQ(records[0].attrs[2].key, "fanout");
+  EXPECT_EQ(records[0].attrs[3].value, 5.0);
+  EXPECT_GE(records[0].dur_us, 0);
+  EXPECT_EQ(tracer.stats().open_spans, 0u);
+}
+
 TEST(TraceDrops, FullBufferDropsAndOrphansChildren) {
   Tracer tracer{2};  // room for exactly two records
   const auto a = tracer.begin_span("a", TraceLane::kControl);
@@ -102,6 +118,34 @@ TEST(TraceDrops, ChildOfDroppedParentIsOrphanWhenRoomRemains) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(records[0].orphan);
   EXPECT_EQ(records[0].parent_span, 0u);  // exported parentless
+}
+
+TEST(TraceDrops, ClearResetsBufferAndCounters) {
+  Tracer tracer{2};
+  const auto root = tracer.begin_span("root", TraceLane::kData);
+  const auto inst = tracer.instant("effect", TraceLane::kData, root);
+  (void)tracer.begin_span("dropped", TraceLane::kData, root);
+  tracer.flow(root, TraceLane::kData, inst, TraceLane::kData);  // dropped
+  ASSERT_EQ(tracer.stats().dropped, 2u);
+
+  tracer.clear();
+  EXPECT_TRUE(tracer.snapshot().empty());
+  const auto cleared = tracer.stats();
+  EXPECT_EQ(cleared.spans, 0u);
+  EXPECT_EQ(cleared.instants, 0u);
+  EXPECT_EQ(cleared.flows, 0u);
+  EXPECT_EQ(cleared.dropped, 0u);
+  EXPECT_EQ(cleared.orphans, 0u);
+  EXPECT_EQ(cleared.open_spans, 0u);  // the open root is forgotten
+  EXPECT_EQ(cleared.max_events, 2u);  // the bound survives
+  EXPECT_NE(tracer.chrome_trace_json().find("\"dropped\": 0"),
+            std::string::npos);
+
+  // Room again, and span IDs keep advancing past the cleared ones.
+  const auto next = tracer.begin_span("next", TraceLane::kData);
+  EXPECT_GT(next.span_id, inst.span_id);
+  tracer.end_span(next);
+  EXPECT_EQ(tracer.stats().spans, 1u);
 }
 
 TEST(TraceFlows, RecordsCrossLaneEdges) {

@@ -6,11 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
-#include "sim/flight_recorder.h"
+#include "obs/trace.h"
 #include "topology/clos.h"
 #include "verify/differ.h"
 #include "verify/oracle.h"
@@ -97,8 +98,7 @@ TEST(WalkMetricsTest, CountersMatchDeliveryOracleFanout) {
   ASSERT_GT(expected.sends, 0u);
 
   obs::MetricsRegistry registry{/*enabled=*/true};
-  sim::FlightRecorder recorder;
-  verify::RunObservability observability{&registry, &recorder};
+  verify::RunObservability observability{&registry};
   const auto report =
       verify::run_scenario(sc, verify::Mutation::kNone, &observability);
   ASSERT_TRUE(report.ok) << report.failure;
@@ -134,38 +134,50 @@ TEST(WalkMetricsTest, CountersMatchDeliveryOracleFanout) {
             64.0 * static_cast<double>(expected.vm_deliveries));
 }
 
-TEST(WalkMetricsTest, FlightRecorderCapturesTheWalk) {
+// Span conservation on a traced walk: the tracer's data lane holds exactly
+// one "send" span per walk and one hop span per event-queue work item, every
+// hop parented to a send — the same totals the fabric's walk counters export.
+TEST(WalkMetricsTest, TracedWalkConservesHopSpans) {
   const auto sc = clean_scenario();
   obs::MetricsRegistry registry{/*enabled=*/true};
-  sim::FlightRecorder recorder;
-  verify::RunObservability observability{&registry, &recorder};
+  obs::Tracer tracer;
+  verify::RunObservability observability{&registry};
+  observability.tracer = &tracer;
   const auto report =
       verify::run_scenario(sc, verify::Mutation::kNone, &observability);
   ASSERT_TRUE(report.ok) << report.failure;
 
-  EXPECT_GT(recorder.size(), 0u);
-  EXPECT_EQ(recorder.dropped(), 0u);
-  const auto trace = recorder.chrome_trace_json();
-  EXPECT_EQ(trace.rfind("{\"displayTimeUnit\"", 0), 0u);
-  EXPECT_NE(trace.find("\"traceEvents\": ["), std::string::npos);
-  EXPECT_EQ(trace.back(), '\n');
-  // Process/thread metadata for the layer lanes plus at least one duration
-  // event per hypervisor delivery.
-  EXPECT_NE(trace.find("\"ph\": \"M\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(trace.find("hosts"), std::string::npos);
-}
+  const auto stats = tracer.stats();
+  ASSERT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.open_spans, 0u);
+  const auto records = tracer.snapshot();
+  std::map<std::uint64_t, const obs::SpanRecord*> sends;
+  for (const auto& rec : records) {
+    if (rec.lane == obs::TraceLane::kData &&
+        std::string_view{rec.name} == "send") {
+      sends.emplace(rec.span_id, &rec);
+    }
+  }
+  std::size_t hops = 0;
+  for (const auto& rec : records) {
+    if (rec.lane != obs::TraceLane::kData ||
+        rec.kind != obs::SpanRecord::Kind::kSpan ||
+        std::string_view{rec.name} == "send") {
+      continue;
+    }
+    ++hops;
+    const auto parent = sends.find(rec.parent_span);
+    ASSERT_NE(parent, sends.end()) << rec.name << " span " << rec.span_id;
+    EXPECT_EQ(rec.trace_id, parent->second->trace_id);
+    EXPECT_EQ(rec.nattrs, obs::kMaxTraceAttrs);  // node, hop, fanout, depth
+  }
 
-TEST(WalkMetricsTest, RecorderCapBoundsMemory) {
-  const auto sc = clean_scenario();
-  obs::MetricsRegistry registry{/*enabled=*/false};
-  sim::FlightRecorder recorder{/*max_events=*/4};
-  verify::RunObservability observability{&registry, &recorder};
-  const auto report =
-      verify::run_scenario(sc, verify::Mutation::kNone, &observability);
-  ASSERT_TRUE(report.ok) << report.failure;
-  EXPECT_LE(recorder.size(), 4u);
-  EXPECT_GT(recorder.dropped(), 0u);
+  const auto snap = registry.snapshot();
+  EXPECT_GT(sends.size(), 0u);
+  EXPECT_EQ(static_cast<double>(sends.size()),
+            snap.value("elmo_fabric_sends_total"));
+  EXPECT_EQ(static_cast<double>(hops),
+            snap.value("elmo_fabric_work_items_total"));
 }
 
 }  // namespace

@@ -15,10 +15,11 @@
 //   --trace=N           only render trace N
 //   --group=A           only render traces touching group address A (decimal)
 //   --kind=K            only render traces whose root span name contains K
-//                       (e.g. join, leave, host_fail, flush)
+//                       (e.g. join, leave, host_fail, flush; "send" lists
+//                       the per-send walk traces, hidden otherwise)
 //   --max_traces=N      cap rendered traces (default 16, 0 = unlimited)
 //   --json=1            machine-readable summary instead of trees (CI)
-//   --trace_out=PATH    also write the merged chrome://tracing timeline
+//   --trace_out=PATH    also write the chrome://tracing timeline
 //
 // Example: tools/trace_query --seed=3 --kind=join
 #include <algorithm>
@@ -34,7 +35,6 @@
 #include "obs/provenance.h"
 #include "obs/trace.h"
 #include "sim/fabric.h"
-#include "sim/flight_recorder.h"
 #include "topology/clos.h"
 #include "util/flags.h"
 #include "util/stats.h"
@@ -254,12 +254,11 @@ int main(int argc, char** argv) {
   for (const auto id : ids) fabric.install_group(controller, id);
 
   // Live run: every appended event flows through the traced control plane;
-  // sends walk the fabric (closing time-to-effect watches) under a flight
-  // recorder and a provenance log for the data-plane half of the story.
+  // sends walk the fabric (closing time-to-effect watches, each walk traced
+  // hop by hop on the data lane) under a provenance log for the data-plane
+  // half of the story.
   obs::Tracer tracer;
-  sim::FlightRecorder recorder;
   obs::ProvenanceLog prov;
-  fabric.set_recorder(&recorder);
   fabric.set_provenance(&prov);
   stream::ControlPlane plane{controller, fabric,
                              stream::ControlPlaneOptions{flush_threshold}};
@@ -294,7 +293,7 @@ int main(int argc, char** argv) {
   obs::set_global_tracer(nullptr);
 
   if (!trace_out.empty()) {
-    if (!sim::write_unified_trace(trace_out, tracer, recorder)) {
+    if (!tracer.write(trace_out)) {
       std::fprintf(stderr, "trace_query: cannot write %s\n",
                    trace_out.c_str());
       return 2;
@@ -393,9 +392,12 @@ int main(int argc, char** argv) {
   std::size_t rendered = 0, suppressed = 0;
   for (const auto& [id, view] : traces) {
     if (want_trace != 0 && id != want_trace) continue;
+    const std::string root_name = view.root != nullptr ? view.root->name : "";
     if (!want_kind.empty()) {
-      const std::string root_name = view.root != nullptr ? view.root->name : "";
       if (root_name.find(want_kind) == std::string::npos) continue;
+    } else if (want_trace == 0 && root_name == "send" &&
+               view.root->lane == obs::TraceLane::kData) {
+      continue;  // per-send walk traces: listed with --kind=send
     }
     if (want_group != 0) {
       const double g = static_cast<double>(want_group);
