@@ -4,9 +4,9 @@
 // hypervisors — is a ForwardingElement: it consumes one PacketView and emits
 // zero or more (out_port, PacketView) pairs. Emissions are appended to a
 // caller-provided EmissionArena rather than returned as fresh vectors, so a
-// fabric walk reuses one arena across every hop. The walk as a whole still
-// allocates (perfbench/BASELINE.md: alloc.per_send = 2,418 on walk_wve); the
-// ROADMAP zero-allocation walk item removes that.
+// fabric walk reuses one arena across every hop. Switch parsing allocates
+// nothing; the walk as a whole still does (DESIGN.md §4, ROADMAP
+// zero-allocation walk item).
 //
 // Port conventions:
 //   * Network switches: out_port indexes the switch's ports (downstream

@@ -83,10 +83,10 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   const auto vxlan = net::VxlanHeader::parse(
       outer.subspan(net::EthernetHeader::kSize + net::Ipv4Header::kSize +
                     net::UdpHeader::kSize));
-  std::size_t elmo_bytes = 0;
-  if (vxlan.elmo_present) {
-    elmo_bytes = codec_.header_length(packet.from(net::kOuterHeaderBytes));
-  }
+  const std::size_t elmo_bytes =
+      vxlan.elmo_present
+          ? codec_.sections(packet.from(net::kOuterHeaderBytes)).length()
+          : 0;
   // Decapsulation is a cursor advance: one payload view, shared per VM.
   net::PacketView payload = packet;
   payload.pop_front(net::kOuterHeaderBytes + elmo_bytes);

@@ -9,27 +9,32 @@ namespace elmo::dp {
 
 NetworkSwitch::NetworkSwitch(const topo::ClosTopology& topology,
                              topo::Layer layer, std::uint32_t id)
-    : topo_{&topology}, codec_{topology}, layer_{layer}, id_{id} {
+    : codec_{topology}, layer_{layer}, id_{id} {
+  std::size_t up_ports = 0;
   switch (layer) {
     case topo::Layer::kLeaf:
       match_id_ = id;  // global leaf id
+      down_ports_ = topology.leaf_down_ports();
+      up_ports = topology.leaf_up_ports();
       break;
     case topo::Layer::kSpine:
       match_id_ = topology.pod_of_spine(id);  // logical spine == pod
+      down_ports_ = topology.spine_down_ports();
+      up_ports = topology.spine_up_ports();
       break;
     case topo::Layer::kCore:
-      match_id_ = 0;  // single logical core, no identifier needed
+      down_ports_ = topology.core_ports();  // one logical core: no id
       break;
     case topo::Layer::kHost:
       throw std::invalid_argument{"NetworkSwitch: host is not a switch"};
   }
-  uplink_load_.assign(upstream_ports(), 0);
+  uplink_load_.assign(up_ports, 0);
 }
 
 std::size_t NetworkSwitch::pick_uplink(std::uint64_t hash) {
   if (multipath_mode_ == MultipathMode::kEcmp || uplink_load_.empty()) {
-    return layer_ == topo::Layer::kLeaf ? hash % upstream_ports()
-                                        : (hash >> 8) % upstream_ports();
+    return layer_ == topo::Layer::kLeaf ? hash % uplink_load_.size()
+                                        : (hash >> 8) % uplink_load_.size();
   }
   // HULA-style: least observed utilization, hash breaks ties.
   std::size_t best = hash % uplink_load_.size();
@@ -46,28 +51,6 @@ void NetworkSwitch::install_srule(net::Ipv4Address group,
 
 void NetworkSwitch::remove_srule(net::Ipv4Address group) {
   group_table_.erase(group.value);
-}
-
-std::size_t NetworkSwitch::downstream_ports() const noexcept {
-  switch (layer_) {
-    case topo::Layer::kLeaf:
-      return topo_->leaf_down_ports();
-    case topo::Layer::kSpine:
-      return topo_->spine_down_ports();
-    default:
-      return topo_->core_ports();
-  }
-}
-
-std::size_t NetworkSwitch::upstream_ports() const noexcept {
-  switch (layer_) {
-    case topo::Layer::kLeaf:
-      return topo_->leaf_up_ports();
-    case topo::Layer::kSpine:
-      return topo_->spine_up_ports();
-    default:
-      return 0;
-  }
 }
 
 NetworkSwitch::ParseResult NetworkSwitch::parse(
@@ -88,70 +71,33 @@ NetworkSwitch::ParseResult NetworkSwitch::parse(
   const auto ip = net::Ipv4Header::parse(outer.subspan(net::EthernetHeader::kSize));
   result.outer_src = ip.src;
   result.outer_dst = ip.dst;
-  // (UDP/VXLAN validated structurally by the offsets below.)
+  const auto vxlan = net::VxlanHeader::parse(
+      outer.subspan(net::EthernetHeader::kSize + net::Ipv4Header::kSize +
+                    net::UdpHeader::kSize));
+  // A legacy chip cannot parse Elmo (paper §7), and with the flag clear
+  // there is no header: either way only the group table applies, nothing
+  // is popped and every copy is the incoming view.
+  if (legacy_ || !vxlan.elmo_present) return result;
 
-  const auto elmo_span = packet.from(net::kOuterHeaderBytes);
-  result.sections = codec_.scan_sections(elmo_span);
-  const auto header = codec_.parse(elmo_span);
-
-  switch (layer_) {
-    case topo::Layer::kLeaf:
-      result.upstream = header.u_leaf;
-      result.default_rule = header.leaf_default;
-      for (std::size_t ri = 0; ri < header.leaf_rules.size(); ++ri) {
-        const auto& rule = header.leaf_rules[ri];
-        for (const auto rid : rule.switch_ids) {
-          if (rid == match_id_) {
-            result.matched = rule.bitmap;
-            result.matched_index = static_cast<int>(ri);
-            result.matched_shared = rule.switch_ids.size() > 1;
-            break;
-          }
-        }
-        if (result.matched) break;  // parser skips remaining p-rules
-      }
-      break;
-    case topo::Layer::kSpine:
-      result.upstream = header.u_spine;
-      result.default_rule = header.spine_default;
-      for (std::size_t ri = 0; ri < header.spine_rules.size(); ++ri) {
-        const auto& rule = header.spine_rules[ri];
-        for (const auto rid : rule.switch_ids) {
-          if (rid == match_id_) {
-            result.matched = rule.bitmap;
-            result.matched_index = static_cast<int>(ri);
-            result.matched_shared = rule.switch_ids.size() > 1;
-            break;
-          }
-        }
-        if (result.matched) break;
-      }
-      break;
-    case topo::Layer::kCore:
-      result.core_bitmap = header.core_pods;
-      break;
-    case topo::Layer::kHost:
-      break;
+  const auto elmo = packet.from(net::kOuterHeaderBytes);
+  result.sections = codec_.sections(elmo);
+  if (layer_ == topo::Layer::kCore) {
+    result.match.bitmap = codec_.read_core(elmo, result.sections);
+    return result;
   }
+  const bool leaf = layer_ == topo::Layer::kLeaf;
+  result.upstream = codec_.read_upstream(
+      elmo, result.sections,
+      leaf ? elmo::SectionTag::kULeaf : elmo::SectionTag::kUSpine);
+  result.match = codec_.match_rule(
+      elmo, result.sections,
+      leaf ? elmo::SectionTag::kLeafRules : elmo::SectionTag::kSpineRules,
+      match_id_);
   return result;
 }
 
-std::size_t NetworkSwitch::pop_offset(
-    const std::vector<elmo::SectionExtent>& sections,
-    elmo::SectionTag first_needed) const {
-  for (const auto& e : sections) {
-    if (e.tag == elmo::SectionTag::kEnd ||
-        static_cast<int>(e.tag) >= static_cast<int>(first_needed)) {
-      return e.begin;
-    }
-  }
-  return 0;
-}
-
-net::PacketView NetworkSwitch::strip_for_host(
-    const net::PacketView& packet,
-    const std::vector<elmo::SectionExtent>& sections) const {
-  const std::size_t elmo_bytes = sections.back().end;
+net::PacketView NetworkSwitch::strip_for_host(const net::PacketView& packet,
+                                              std::size_t elmo_bytes) const {
   const auto outer = packet.front(net::kOuterHeaderBytes);
   const auto payload =
       packet.from(net::kOuterHeaderBytes).subspan(elmo_bytes);
@@ -197,7 +143,7 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
         static_cast<std::size_t>(stats_.header_pop_bytes - popped_before);
     const auto out = arena.since(mark);
     if (!out.empty()) {
-      dec.egress = net::PortBitmap{downstream_ports() + upstream_ports()};
+      dec.egress = net::PortBitmap{down_ports_ + uplink_load_.size()};
       for (const auto& e : out) dec.egress.set(e.out_port);
     }
     prov_->record_decision(dec);
@@ -209,61 +155,39 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     return arena.since(mark);
   }
 
-  if (legacy_) {
-    // A legacy chip: ordinary IP-multicast group-table lookup on the outer
-    // destination, no Elmo parsing, no header popping — every copy is the
-    // unmodified incoming view.
-    const auto ip = net::Ipv4Header::parse(
-        packet.front(net::kOuterHeaderBytes).subspan(net::EthernetHeader::kSize));
-    const net::PortBitmap* hit = nullptr;
-    if (const auto it = group_table_.find(ip.dst.value);
-        it != group_table_.end()) {
-      ++stats_.srule_matches;
-      hit = &it->second;
-      hit->for_each_set([&](std::size_t port) { arena.emit(port, packet); });
-    } else {
-      ++stats_.drops;
-    }
-    const auto out = arena.since(mark);
-    stats_.copies_out += out.size();
-    for (const auto& e : out) stats_.bytes_out += e.packet.size();
-    record(hit != nullptr ? obs::RuleClass::kSRule : obs::RuleClass::kDrop,
-           hit, nullptr, false, -1);
-    return out;
-  }
-
   const auto pr = parse(packet);
-  const auto hash = flow_hash(pr.outer_src, pr.outer_dst);
 
-  // Where do downstream copies point, and which section does the next hop
-  // still need?
-  const bool down_to_hosts = layer_ == topo::Layer::kLeaf;
-  const auto down_needed = layer_ == topo::Layer::kCore
-                               ? elmo::SectionTag::kSpineRules
-                               : elmo::SectionTag::kLeafRules;
+  // A copy with every section before `first_needed` popped: a hole behind
+  // the outer header, no byte copy.
+  auto popped = [&](elmo::SectionTag first_needed) {
+    net::PacketView copy = packet;
+    if (const auto drop = pr.sections.pop_offset(first_needed); drop > 0) {
+      copy.erase(net::kOuterHeaderBytes, drop);
+      ++stats_.header_pops;
+      stats_.header_pop_bytes += drop;
+    }
+    return copy;
+  };
   auto emit_down = [&](const net::PortBitmap& bitmap) {
-    if (down_to_hosts) {
-      // One stripped template, shared (refcounted) by every host copy.
-      net::PacketView host_copy;
-      bool built = false;
+    if (layer_ == topo::Layer::kLeaf) {
+      // One stripped template, shared (refcounted) by every host copy; with
+      // no Elmo header the incoming view already is that template.
+      net::PacketView host_copy = packet;
+      bool strip = pr.sections.length() > 0;
       bitmap.for_each_set([&](std::size_t port) {
-        if (!built) {
-          host_copy = strip_for_host(packet, pr.sections);
-          built = true;
+        if (strip) {
+          host_copy = strip_for_host(packet, pr.sections.length());
           ++stats_.header_pops;
-          stats_.header_pop_bytes += pr.sections.back().end;
+          stats_.header_pop_bytes += pr.sections.length();
+          strip = false;
         }
         arena.emit(port, host_copy);
       });
       return;
     }
-    const std::size_t drop = pop_offset(pr.sections, down_needed);
-    net::PacketView down_copy = packet;
-    if (drop > 0) {
-      down_copy.erase(net::kOuterHeaderBytes, drop);
-      ++stats_.header_pops;
-      stats_.header_pop_bytes += drop;
-    }
+    const auto down_copy = popped(layer_ == topo::Layer::kCore
+                                      ? elmo::SectionTag::kSpineRules
+                                      : elmo::SectionTag::kLeafRules);
     bitmap.for_each_set(
         [&](std::size_t port) { arena.emit(port, down_copy); });
   };
@@ -278,50 +202,36 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     chosen = &pr.upstream->down;
     chosen_up = &*pr.upstream;
     emit_down(pr.upstream->down);
-    // Upward copies: everything before the *next layer's* upstream/core
-    // section is invalidated.
-    const auto up_needed = layer_ == topo::Layer::kLeaf
-                               ? elmo::SectionTag::kUSpine
-                               : elmo::SectionTag::kCore;
-    const std::size_t drop = pop_offset(pr.sections, up_needed);
-    net::PacketView up_copy = packet;
-    if (drop > 0) {
-      up_copy.erase(net::kOuterHeaderBytes, drop);
-      ++stats_.header_pops;
-      stats_.header_pop_bytes += drop;
-    }
-    const std::size_t base = downstream_ports();
+    // Upward copies start at the *next layer's* upstream/core section.
+    const auto up_copy = popped(layer_ == topo::Layer::kLeaf
+                                    ? elmo::SectionTag::kUSpine
+                                    : elmo::SectionTag::kCore);
     if (pr.upstream->multipath) {
-      const std::size_t pick = pick_uplink(hash);
+      const auto pick = pick_uplink(flow_hash(pr.outer_src, pr.outer_dst));
       uplink_load_[pick] += packet.size();
-      arena.emit(base + pick, up_copy);
+      arena.emit(down_ports_ + pick, up_copy);
     } else {
       pr.upstream->up.for_each_set([&](std::size_t port) {
         if (port < uplink_load_.size()) uplink_load_[port] += packet.size();
-        arena.emit(base + port, up_copy);
+        arena.emit(down_ports_ + port, up_copy);
       });
     }
-  } else if (layer_ == topo::Layer::kCore && pr.core_bitmap) {
+  } else if (pr.match.bitmap) {
     ++stats_.prule_matches;
     cls = obs::RuleClass::kPRule;
-    chosen = &*pr.core_bitmap;
-    emit_down(*pr.core_bitmap);
-  } else if (pr.matched) {
-    ++stats_.prule_matches;
-    cls = obs::RuleClass::kPRule;
-    chosen = &*pr.matched;
-    emit_down(*pr.matched);
+    chosen = &*pr.match.bitmap;
+    emit_down(*pr.match.bitmap);
   } else if (const auto it = group_table_.find(pr.outer_dst.value);
              it != group_table_.end()) {
     ++stats_.srule_matches;
     cls = obs::RuleClass::kSRule;
     chosen = &it->second;
     emit_down(it->second);
-  } else if (pr.default_rule) {
+  } else if (pr.match.default_rule) {
     ++stats_.default_matches;
     cls = obs::RuleClass::kDefault;
-    chosen = &*pr.default_rule;
-    emit_down(*pr.default_rule);
+    chosen = &*pr.match.default_rule;
+    emit_down(*pr.match.default_rule);
   } else {
     ++stats_.drops;
   }
@@ -329,7 +239,7 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
   const auto out = arena.since(mark);
   stats_.copies_out += out.size();
   for (const auto& e : out) stats_.bytes_out += e.packet.size();
-  record(cls, chosen, chosen_up, pr.matched_shared, pr.matched_index);
+  record(cls, chosen, chosen_up, pr.match.shared, pr.match.index);
   return out;
 }
 

@@ -2,12 +2,12 @@
 //
 // The pipeline mirrors a PISA chip running the Elmo P4 program:
 //
-//   1. *Parser* — walks the outer headers, then the Elmo sections, and does
-//      match-and-set over p-rules: when it scans this switch's layer section
-//      it compares each rule's identifier list against the switch's own id,
-//      storing the matched bitmap (and the default bitmap) as metadata. No
-//      match-action stage is spent on p-rule lookup (see Appendix A for why
-//      that would be prohibitively expensive).
+//   1. *Parser* — walks the outer headers and, only if the VXLAN "Elmo
+//      present" flag is set, the Elmo sections: it maps where each lies and
+//      reads just this switch's own layer, doing match-and-set over its rule
+//      section up to the first p-rule that lists its id (a core reads its
+//      pod bitmap). No match-action stage is spent on p-rule lookup (see
+//      Appendix A for why that would be prohibitively expensive).
 //   2. *Ingress* — control flow: upstream rule if the packet still carries
 //      this layer's upstream section; otherwise matched p-rule bitmap;
 //      otherwise group-table (s-rule) lookup on the outer destination IP;
@@ -145,39 +145,29 @@ class NetworkSwitch : public ForwardingElement {
   void reset_stats() noexcept { stats_ = SwitchStats{}; }
 
  private:
+  // What the parser leaves in metadata.
   struct ParseResult {
-    std::optional<elmo::UpstreamRule> upstream;  // this layer's u-rule
-    std::optional<net::PortBitmap> matched;      // p-rule bitmap for this switch
-    int matched_index = -1;      // index of the matched p-rule in its section
-    bool matched_shared = false;  // matched p-rule lists >1 switch id
-    std::optional<net::PortBitmap> default_rule;
-    std::optional<net::PortBitmap> core_bitmap;  // core layer only
-    std::vector<elmo::SectionExtent> sections;   // relative to elmo offset
     net::Ipv4Address outer_src;
     net::Ipv4Address outer_dst;
+    elmo::SectionMap sections;  // empty: flag clear or legacy chip
+    std::optional<elmo::UpstreamRule> upstream;  // this layer's u-rule
+    // Leaf/spine: first p-rule listing this switch, else the default.
+    // Core: the CORE pod bitmap (no rule list, so index -1).
+    elmo::RuleMatch match;
   };
 
   ParseResult parse(const net::PacketView& packet) const;
 
-  // Bytes (from the start of the Elmo header) to drop so the copy starts at
-  // the first section the receiver still needs.
-  std::size_t pop_offset(const std::vector<elmo::SectionExtent>& sections,
-                         elmo::SectionTag first_needed) const;
-
   // The one deep copy of the pipeline: outer header with the VXLAN
   // "Elmo present" flag cleared + payload, shared by every host-bound copy.
-  net::PacketView strip_for_host(
-      const net::PacketView& packet,
-      const std::vector<elmo::SectionExtent>& sections) const;
+  net::PacketView strip_for_host(const net::PacketView& packet,
+                                 std::size_t elmo_bytes) const;
 
-  std::size_t downstream_ports() const noexcept;
-  std::size_t upstream_ports() const noexcept;
-
-  const topo::ClosTopology* topo_;
   elmo::HeaderCodec codec_;
   topo::Layer layer_;
   std::uint32_t id_;
-  std::uint32_t match_id_;  // leaf id at leaves, pod id at spines
+  std::uint32_t match_id_ = 0;  // leaf id at leaves, pod id at spines
+  std::size_t down_ports_ = 0;  // uplinks follow at down_ports_ + i
   std::size_t pick_uplink(std::uint64_t hash);
 
   std::unordered_map<std::uint32_t, net::PortBitmap> group_table_;
@@ -185,7 +175,7 @@ class NetworkSwitch : public ForwardingElement {
   bool legacy_ = false;
   bool down_ = false;
   MultipathMode multipath_mode_ = MultipathMode::kEcmp;
-  std::vector<std::uint64_t> uplink_load_;
+  std::vector<std::uint64_t> uplink_load_;  // one per uplink
   EmissionArena compat_arena_;  // scratch for the Packet wrapper
 };
 

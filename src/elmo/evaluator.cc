@@ -19,21 +19,9 @@ TrafficReport TrafficEvaluator::evaluate(const MulticastTree& tree,
   const auto& senc = route.encoding;
 
   const auto header = codec_.serialize(senc, encoding);
-  const auto extents = codec_.scan_sections(header);
-  const std::size_t total = extents.back().end;
-
-  // Bytes of Elmo header left on the wire once every section before the
-  // first one the next hop needs has been popped. Sections are serialized in
-  // ascending tag order with END last, so scan for the first tag >= needed.
-  auto remaining_from = [&](SectionTag first_needed) -> std::size_t {
-    for (const auto& e : extents) {
-      if (e.tag == SectionTag::kEnd ||
-          static_cast<int>(e.tag) >= static_cast<int>(first_needed)) {
-        return total - e.begin;
-      }
-    }
-    return 0;
-  };
+  const auto sections = codec_.sections(header);
+  // Each hop pops every section before the first one the next hop needs.
+  const std::size_t total = sections.length();
 
   TrafficReport report;
   report.header_bytes_at_source = total;
@@ -108,7 +96,8 @@ TrafficReport TrafficEvaluator::evaluate(const MulticastTree& tree,
     exact_leaf[leaf.leaf] = &leaf.host_ports;
   }
 
-  const std::size_t leaf_stage = remaining_from(SectionTag::kLeafRules);
+  const std::size_t leaf_stage =
+      total - sections.pop_offset(SectionTag::kLeafRules);
 
   // Downstream leaf processing: p-rule match, else s-rule, else default.
   // A legacy leaf cannot parse the header at all, so only its group table
@@ -181,9 +170,12 @@ TrafficReport TrafficEvaluator::evaluate(const MulticastTree& tree,
         [&](std::size_t plane) { up_planes.push_back(plane); });
   }
 
-  const std::size_t after_uleaf = remaining_from(SectionTag::kUSpine);
-  const std::size_t after_uspine = remaining_from(SectionTag::kCore);
-  const std::size_t after_core = remaining_from(SectionTag::kSpineRules);
+  const std::size_t after_uleaf =
+      total - sections.pop_offset(SectionTag::kUSpine);
+  const std::size_t after_uspine =
+      total - sections.pop_offset(SectionTag::kCore);
+  const std::size_t after_core =
+      total - sections.pop_offset(SectionTag::kSpineRules);
 
   for (const auto plane : up_planes) {
     count(after_uleaf);  // leaf->spine

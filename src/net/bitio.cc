@@ -35,12 +35,16 @@ std::uint64_t BitReader::read(unsigned bits) {
   if (bits > bits_remaining()) {
     throw std::out_of_range{"BitReader: read past end"};
   }
+  // Take the current byte's unread high bits, then whole bytes, MSB-first.
   std::uint64_t value = 0;
-  for (unsigned i = 0; i < bits; ++i) {
-    const std::size_t byte = position_ / 8;
-    const bool bit = (data_[byte] >> (7 - position_ % 8)) & 1;
-    value = (value << 1) | static_cast<std::uint64_t>(bit);
-    ++position_;
+  while (bits > 0) {
+    const unsigned room = 8 - static_cast<unsigned>(position_ % 8);
+    const unsigned n = room < bits ? room : bits;
+    const unsigned chunk =
+        (unsigned{data_[position_ / 8]} >> (room - n)) & ((1u << n) - 1);
+    value = (value << n) | chunk;
+    position_ += n;
+    bits -= n;
   }
   return value;
 }

@@ -42,8 +42,15 @@ class BitReader {
   explicit BitReader(std::span<const std::uint8_t> data) noexcept
       : data_{data} {}
 
+  // Reads `bits` (<= 64) bits MSB-first, up to a byte per step. Throws
+  // std::out_of_range past the end.
   std::uint64_t read(unsigned bits);
   bool read_bool() { return read(1) != 0; }
+  // Advances past `bits` bits without reading them.
+  void skip(std::size_t bits) {
+    if (bits > bits_remaining()) throw std::out_of_range{"BitReader: skip"};
+    position_ += bits;
+  }
   void align_to_byte() noexcept { position_ = (position_ + 7) / 8 * 8; }
 
   std::size_t bit_position() const noexcept { return position_; }

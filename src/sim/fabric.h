@@ -10,10 +10,10 @@
 // The walk is a zero-copy pipeline: every node is a dp::ForwardingElement,
 // work items carry refcounted PacketViews, and emissions land in one
 // per-fabric EmissionArena that is reused across hops and sends, so no
-// per-link deep copy happens (see DESIGN.md, "Forwarding pipeline"). The walk
-// still allocates: perfbench/BASELINE.md measures alloc.per_send = 2,418 on
-// the walk_wve workload. Making it allocation-free is the ROADMAP
-// zero-allocation walk item.
+// per-link deep copy happens (see DESIGN.md, "Forwarding pipeline"). Switch
+// parsing allocates nothing; the walk still allocates for each host-delivery
+// template, SendResult::host_copies and the queue (DESIGN.md §4). Removing
+// those is the ROADMAP zero-allocation walk item.
 //
 // send() is the only walk engine: one FIFO drain per send, with its loss
 // draws taken from a per-send stream (DESIGN.md §12).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dataplane/hypervisor_switch.h"
 #include "elmo/encoder.h"
 
@@ -40,8 +42,14 @@ class NetworkSwitchTest : public ::testing::Test {
   }
 
   std::size_t elmo_bytes_in(const net::Packet& packet) const {
-    return codec_.header_length(
-        packet.bytes().subspan(net::kOuterHeaderBytes));
+    return codec_.sections(packet.bytes().subspan(net::kOuterHeaderBytes))
+        .length();
+  }
+
+  // Bytes a spine pops before handing the packet to a leaf.
+  std::size_t pop_for_leaf(const net::Packet& packet) const {
+    return codec_.sections(packet.bytes().subspan(net::kOuterHeaderBytes))
+        .pop_offset(elmo::SectionTag::kLeafRules);
   }
 
   topo::ClosTopology topo_;
@@ -179,16 +187,7 @@ TEST_F(NetworkSwitchTest, SRuleFallbackWhenNoPRuleMatches) {
 
   auto packet = packet_from(0, enc);
   // Simulate arrival at the s-ruled leaf with upstream layers popped.
-  std::size_t pop = 0;
-  for (const auto& s :
-       codec_.scan_sections(packet.bytes().subspan(net::kOuterHeaderBytes))) {
-    if (s.tag == elmo::SectionTag::kLeafRules ||
-        s.tag == elmo::SectionTag::kEnd) {
-      pop = s.begin;
-      break;
-    }
-  }
-  packet.erase(net::kOuterHeaderBytes, pop);
+  packet.erase(net::kOuterHeaderBytes, pop_for_leaf(packet));
 
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, srule_leaf};
   // Without the s-rule installed: no p-rule match; may hit default or drop.
@@ -207,17 +206,69 @@ TEST_F(NetworkSwitchTest, DropWhenNothingMatches) {
   auto packet = packet_from(0, enc);
   // Pop everything up to the leaf section, then hand to a leaf that is not
   // in the tree and has no s-rule; encoding has no default (generous hmax).
-  const auto sections =
-      codec_.scan_sections(packet.bytes().subspan(net::kOuterHeaderBytes));
-  for (const auto& s : sections) {
-    if (s.tag == elmo::SectionTag::kLeafRules) {
-      packet.erase(net::kOuterHeaderBytes, s.begin);
-      break;
-    }
-  }
+  packet.erase(net::kOuterHeaderBytes, pop_for_leaf(packet));
   NetworkSwitch outsider{topo_, topo::Layer::kLeaf, 3};
   EXPECT_TRUE(outsider.process(packet).empty());
   EXPECT_EQ(outsider.stats().drops, 1u);
+}
+
+TEST_F(NetworkSwitchTest, ClearElmoFlagMeansNoHeaderToParse) {
+  // A receive-only member has no header template, so its hypervisor sends
+  // with the VXLAN Elmo-present flag clear. The payload right behind the
+  // outer header must not be read as Elmo sections or popped.
+  HypervisorSwitch hv{topo_, 0};
+  hv.install_flow(group_addr_, HypervisorSwitch::GroupFlow{});
+  for (const std::uint8_t fill : {0x00, 0x77}) {
+    const auto packet =
+        *hv.encapsulate(group_addr_, std::vector<std::uint8_t>(64, fill));
+    ASSERT_EQ(packet.size(), net::kOuterHeaderBytes + 64);
+
+    // With an s-rule, hosts get the packet as sent.
+    NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
+    auto ports = net::PortBitmap{topo_.leaf_down_ports()};
+    ports.set(0);
+    ports.set(1);
+    leaf.install_srule(group_addr_, ports);
+    const auto copies = leaf.process(packet);
+    ASSERT_EQ(copies.size(), 2u);
+    for (const auto& copy : copies) {
+      EXPECT_EQ(copy.packet.size(), packet.size());
+      EXPECT_TRUE(std::equal(copy.packet.bytes().begin(),
+                             copy.packet.bytes().end(),
+                             packet.bytes().begin()));
+    }
+    EXPECT_EQ(leaf.stats().srule_matches, 1u);
+    EXPECT_EQ(leaf.stats().header_pop_bytes, 0u);
+
+    // Without one, every layer drops it instead of throwing.
+    NetworkSwitch bare_leaf{topo_, topo::Layer::kLeaf, 0};
+    NetworkSwitch spine{topo_, topo::Layer::kSpine, topo_.spine_at(0, 0)};
+    NetworkSwitch core{topo_, topo::Layer::kCore, 0};
+    for (auto* sw : {&bare_leaf, &spine, &core}) {
+      EXPECT_TRUE(sw->process(packet).empty());
+      EXPECT_EQ(sw->stats().drops, 1u);
+      EXPECT_EQ(sw->stats().header_pop_bytes, 0u);
+    }
+  }
+}
+
+TEST_F(NetworkSwitchTest, RejectsSectionsOutOfOrder) {
+  // Duplicate the CORE section: decoding and popping could disagree about
+  // which copy counts, so the switch refuses the header.
+  auto packet = packet_from(0, encode());
+  const auto elmo = packet.bytes().subspan(net::kOuterHeaderBytes);
+  const auto map = codec_.sections(elmo);
+  const auto* core = map.find(elmo::SectionTag::kCore);
+  ASSERT_NE(core, nullptr);
+  const std::vector<std::uint8_t> section{elmo.begin() + core->begin,
+                                          elmo.begin() + core->end};
+  const auto at = static_cast<std::ptrdiff_t>(net::kOuterHeaderBytes +
+                                              core->end);
+  auto bytes = std::vector<std::uint8_t>{packet.bytes().begin(),
+                                         packet.bytes().end()};
+  bytes.insert(bytes.begin() + at, section.begin(), section.end());
+  NetworkSwitch core_switch{topo_, topo::Layer::kCore, 0};
+  EXPECT_THROW(core_switch.process(net::Packet{bytes}), std::invalid_argument);
 }
 
 TEST_F(NetworkSwitchTest, RejectsNonIpv4) {

@@ -34,7 +34,7 @@ TEST(Fuzz, HeaderParseIsTotalOverRandomBytes) {
     } catch (const std::length_error&) {
     }
     try {
-      (void)codec.scan_sections(bytes);
+      (void)codec.sections(bytes);
     } catch (const std::out_of_range&) {
     } catch (const std::invalid_argument&) {
     }
@@ -86,9 +86,23 @@ TEST(Fuzz, BitflippedHeadersNeverCrashTheSwitchParser) {
   const auto clean =
       *hv.encapsulate(g.address, std::vector<std::uint8_t>(32, 0));
 
+  // Every receiver layer reads the same mutated packet: the sender's leaf
+  // and spine (their own upstream and rule sections), a core (its CORE
+  // section), and the member's hypervisor (header length for decap).
   dp::NetworkSwitch leaf{t, topo::Layer::kLeaf, 0};
+  dp::NetworkSwitch spine{t, topo::Layer::kSpine, t.spine_at(0, 0)};
+  dp::NetworkSwitch core{t, topo::Layer::kCore, 0};
+  dp::HypervisorSwitch member{t, 17};
+  dp::HypervisorSwitch::GroupFlow member_flow;
+  member_flow.local_vms = {1};
+  member.install_flow(g.address, member_flow);
+  const std::vector<std::pair<dp::NetworkSwitch*, std::size_t>> switches{
+      {&leaf, t.leaf_down_ports() + t.leaf_up_ports()},
+      {&spine, t.spine_down_ports() + t.spine_up_ports()},
+      {&core, t.core_ports()}};
+
   util::Rng rng{4242};
-  int survived = 0;
+  std::vector<int> survived(switches.size() + 1);  // last: the hypervisor
   for (int trial = 0; trial < 2000; ++trial) {
     net::Packet mutated = clean;
     // Flip 1-4 bits anywhere beyond the outer Ethernet/IP version bytes.
@@ -98,17 +112,29 @@ TEST(Fuzz, BitflippedHeadersNeverCrashTheSwitchParser) {
       mutated.mutable_bytes()[at] ^=
           static_cast<std::uint8_t>(1u << rng.index(8));
     }
+    for (std::size_t i = 0; i < switches.size(); ++i) {
+      try {
+        const auto copies = switches[i].first->process(mutated);
+        ++survived[i];
+        // Fan-out is physically bounded by the port count.
+        EXPECT_LE(copies.size(), switches[i].second);
+      } catch (const std::out_of_range&) {
+      } catch (const std::invalid_argument&) {
+      } catch (const std::length_error&) {
+      }
+    }
     try {
-      const auto copies = leaf.process(mutated);
-      ++survived;
-      // Fan-out is physically bounded by the port count.
-      EXPECT_LE(copies.size(), t.leaf_down_ports() + t.leaf_up_ports());
+      const auto deliveries = member.receive(mutated);
+      ++survived.back();
+      EXPECT_LE(deliveries.size(), 1u);
+      for (const auto& d : deliveries) {
+        EXPECT_LE(d.payload_bytes, mutated.size() - net::kOuterHeaderBytes);
+      }
     } catch (const std::out_of_range&) {
     } catch (const std::invalid_argument&) {
-    } catch (const std::length_error&) {
     }
   }
-  EXPECT_GT(survived, 0);
+  for (const int n : survived) EXPECT_GT(n, 0);
 }
 
 }  // namespace

@@ -94,8 +94,9 @@ TEST(HeaderCodec, SectionsAreByteAlignedAndOrdered) {
   const auto t = example_topo();
   const HeaderCodec codec{t};
   const auto bytes = codec.serialize(simple_sender(t), simple_group(t));
-  const auto sections = codec.scan_sections(bytes);
-  ASSERT_GE(sections.size(), 2u);
+  const auto map = codec.sections(bytes);
+  const auto sections = map.extents();
+  ASSERT_EQ(sections.size(), 6u);
   EXPECT_EQ(sections.front().begin, 0u);
   int prev_tag = -1;
   for (std::size_t i = 0; i < sections.size(); ++i) {
@@ -111,8 +112,8 @@ TEST(HeaderCodec, SectionsAreByteAlignedAndOrdered) {
       EXPECT_EQ(i, sections.size() - 1);
     }
   }
-  EXPECT_EQ(codec.header_length(bytes), sections.back().end);
-  EXPECT_EQ(codec.header_length(bytes), bytes.size());
+  EXPECT_EQ(map.length(), sections.back().end);
+  EXPECT_EQ(map.length(), bytes.size());
 }
 
 TEST(HeaderCodec, ScanToleratesTrailingPayload) {
@@ -121,7 +122,7 @@ TEST(HeaderCodec, ScanToleratesTrailingPayload) {
   auto bytes = codec.serialize(simple_sender(t), simple_group(t));
   const auto clean_len = bytes.size();
   bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});  // payload after END
-  EXPECT_EQ(codec.header_length(bytes), clean_len);
+  EXPECT_EQ(codec.sections(bytes).length(), clean_len);
 }
 
 TEST(HeaderCodec, MissingEndThrows) {
@@ -133,6 +134,42 @@ TEST(HeaderCodec, MissingEndThrows) {
   auto bytes = codec.serialize(sender, GroupEncoding{});
   bytes.pop_back();  // drop the END byte
   EXPECT_THROW(codec.parse(bytes), std::out_of_range);
+}
+
+TEST(HeaderCodec, RejectsRepeatedAndOutOfOrderSections) {
+  const auto t = example_topo();
+  const HeaderCodec codec{t};
+  const auto bytes = codec.serialize(simple_sender(t), simple_group(t));
+  const auto map = codec.sections(bytes);
+  auto section = [&](SectionTag tag) {
+    const auto* e = map.find(tag);
+    return std::vector<std::uint8_t>{bytes.begin() + e->begin,
+                                     bytes.begin() + e->end};
+  };
+  auto join = [](std::initializer_list<std::vector<std::uint8_t>> parts) {
+    std::vector<std::uint8_t> out;
+    for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+    return out;
+  };
+  const auto u_leaf = section(SectionTag::kULeaf);
+  const auto u_spine = section(SectionTag::kUSpine);
+  const auto core = section(SectionTag::kCore);
+  const auto spine = section(SectionTag::kSpineRules);
+  const auto leaf = section(SectionTag::kLeafRules);
+  const auto end = section(SectionTag::kEnd);
+  ASSERT_EQ(join({u_leaf, u_spine, core, spine, leaf, end}), bytes);
+
+  for (const auto& bad : {join({u_leaf, u_spine, core, core, spine, end}),
+                          join({u_leaf, core, u_spine, spine, leaf, end}),
+                          join({u_leaf, u_spine, core, leaf, spine, end}),
+                          join({u_spine, u_leaf, end}),
+                          join({leaf, leaf, end})}) {
+    EXPECT_THROW((void)codec.sections(bad), std::invalid_argument);
+    EXPECT_THROW((void)codec.parse(bad), std::invalid_argument);
+  }
+  // Any strictly ascending subset is a header.
+  EXPECT_EQ(codec.sections(join({u_spine, leaf, end})).length(),
+            u_spine.size() + leaf.size() + end.size());
 }
 
 TEST(HeaderCodec, RejectsRuleWithoutIds) {
@@ -231,11 +268,10 @@ TEST(HeaderCodec, DownstreamIsTheSenderIndependentSuffix) {
                            full.end() - static_cast<std::ptrdiff_t>(
                                             downstream.size())));
     // The suffix starts at the first rule section.
-    for (const auto& s : codec.scan_sections(full)) {
-      if (s.tag == SectionTag::kSpineRules) {
-        EXPECT_EQ(s.begin, full.size() - downstream.size());
-      }
-    }
+    const auto map = codec.sections(full);
+    const auto* spine = map.find(SectionTag::kSpineRules);
+    ASSERT_NE(spine, nullptr);
+    EXPECT_EQ(spine->begin, full.size() - downstream.size());
   }
   // A group with no p-rules contributes only the END byte.
   EXPECT_EQ(codec.serialize_downstream(GroupEncoding{}),
@@ -333,7 +369,8 @@ void random_encodings_round_trip(const topo::ClosTopology& fabric,
     const auto bytes = codec.serialize(sender, group);
     EXPECT_EQ(codec.serialize(sender, codec.serialize_downstream(group)),
               bytes);
-    EXPECT_EQ(codec.header_length(bytes), bytes.size());
+    const auto map = codec.sections(bytes);
+    EXPECT_EQ(map.length(), bytes.size());
     const auto parsed = codec.parse(bytes);
     ASSERT_TRUE(parsed.u_leaf);
     EXPECT_EQ(parsed.u_leaf->up, sender.u_leaf.up);
@@ -350,6 +387,65 @@ void random_encodings_round_trip(const topo::ClosTopology& fabric,
     EXPECT_EQ(parsed.spine_default, group.spine.default_rule);
     EXPECT_EQ(parsed.leaf_rules, group.leaf.p_rules);
     EXPECT_EQ(parsed.leaf_default, group.leaf.default_rule);
+
+    // The map's extents tile the header, and a copy for a hop that needs
+    // `tag` starts at a section it still needs, with every earlier section
+    // consumed.
+    const auto extents = map.extents();
+    ASSERT_FALSE(extents.empty());
+    EXPECT_EQ(extents.front().begin, 0u);
+    EXPECT_EQ(extents.back().tag, SectionTag::kEnd);
+    for (std::size_t i = 1; i < extents.size(); ++i) {
+      EXPECT_EQ(extents[i].begin, extents[i - 1].end);
+    }
+    EXPECT_EQ(map.find(SectionTag::kUSpine) != nullptr,
+              sender.u_spine.has_value());
+    EXPECT_EQ(map.find(SectionTag::kCore) != nullptr,
+              sender.core_pods.has_value());
+    for (int needed = 1; needed <= 5; ++needed) {
+      const auto tag = static_cast<SectionTag>(needed);
+      const auto offset = map.pop_offset(tag);
+      for (const auto& e : extents) {
+        if (e.begin < offset) {
+          EXPECT_LT(static_cast<int>(e.tag), needed);
+        } else if (e.begin == offset) {
+          EXPECT_TRUE(e.tag == SectionTag::kEnd || e.tag >= tag);
+        }
+      }
+      if (const auto* e = map.find(tag)) {
+        EXPECT_EQ(offset, e->begin);
+      }
+    }
+
+    // A switch's own-section match is first-match over the full decode.
+    auto expect_match = [&](SectionTag layer, const std::vector<PRule>& rules,
+                            const std::optional<net::PortBitmap>& fallback,
+                            std::size_t ids) {
+      for (std::uint32_t id = 0; id < ids; ++id) {
+        const auto match = codec.match_rule(bytes, map, layer, id);
+        const auto first = std::find_if(
+            rules.begin(), rules.end(), [&](const PRule& rule) {
+              return std::find(rule.switch_ids.begin(), rule.switch_ids.end(),
+                               id) != rule.switch_ids.end();
+            });
+        if (first == rules.end()) {
+          EXPECT_FALSE(match.bitmap) << "id " << id;
+          EXPECT_EQ(match.index, -1);
+          EXPECT_FALSE(match.shared);
+          EXPECT_EQ(match.default_rule, fallback) << "id " << id;
+          continue;
+        }
+        ASSERT_TRUE(match.bitmap) << "id " << id;
+        EXPECT_EQ(*match.bitmap, first->bitmap);
+        EXPECT_EQ(match.index, first - rules.begin());
+        EXPECT_EQ(match.shared, first->switch_ids.size() > 1);
+        EXPECT_FALSE(match.default_rule);
+      }
+    };
+    expect_match(SectionTag::kSpineRules, parsed.spine_rules,
+                 parsed.spine_default, fabric.num_pods());
+    expect_match(SectionTag::kLeafRules, parsed.leaf_rules,
+                 parsed.leaf_default, fabric.num_leaves());
   }
 }
 

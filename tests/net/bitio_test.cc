@@ -158,6 +158,37 @@ TEST(BitReader, ThrowsPastEnd) {
   EXPECT_THROW(in.read(1), std::out_of_range);
 }
 
+TEST(BitReader, SkipThenRead) {
+  BitWriter out;
+  out.write(0x5, 3);
+  out.write(0xabcdef, 24);   // skipped
+  out.write(0x1234, 13);     // straddles three bytes
+  out.write(0xffffffffffffffffull, 64);  // skipped
+  out.write(0x2, 2);
+  const auto bytes = out.take();
+
+  BitReader in{bytes};
+  EXPECT_EQ(in.read(3), 0x5u);
+  in.skip(24);
+  EXPECT_EQ(in.bit_position(), 27u);
+  EXPECT_EQ(in.read(13), 0x1234u);
+  in.skip(64);
+  EXPECT_EQ(in.read(2), 0x2u);
+  in.skip(0);
+  EXPECT_EQ(in.bit_position(), 106u);
+}
+
+TEST(BitReader, SkipPastEndThrows) {
+  const std::vector<std::uint8_t> two{0xff, 0x00};
+  BitReader in{two};
+  in.skip(3);
+  EXPECT_THROW(in.skip(14), std::out_of_range);
+  EXPECT_EQ(in.bit_position(), 3u);  // a failed skip moves nothing
+  in.skip(13);                       // exactly to the end
+  EXPECT_EQ(in.bits_remaining(), 0u);
+  EXPECT_THROW(in.skip(1), std::out_of_range);
+}
+
 TEST(BitReader, PositionTracking) {
   const std::vector<std::uint8_t> data{0x00, 0x00, 0x00};
   BitReader in{data};

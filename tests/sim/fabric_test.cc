@@ -50,6 +50,24 @@ TEST_F(FabricFixture, CrossPodDelivery) {
   EXPECT_GE(result.max_hops, 4u);  // leaf-spine-core-spine-leaf
 }
 
+TEST_F(FabricFixture, ReceiveOnlyMemberSendsWithoutElmoHeader) {
+  // Host 17 only receives, so its hypervisor has no header template and
+  // sends with the VXLAN Elmo-present flag clear. The fabric must not read
+  // the payload as Elmo sections: the sender's leaf has no s-rule for the
+  // group, so the packet is dropped there.
+  const std::vector<elmo::Member> members{
+      {0, 0, elmo::MemberRole::kBoth}, {17, 1, elmo::MemberRole::kReceiver}};
+  const auto id = controller.create_group(0, members);
+  fabric.install_group(controller, id);
+  const std::vector<std::uint8_t> payload(64, 0x77);
+  const auto result = fabric.send(17, controller.group(id).address, payload);
+  EXPECT_TRUE(result.host_copies.empty());
+  EXPECT_EQ(result.vm_deliveries, 0u);
+  EXPECT_EQ(fabric.aggregate_switch_stats(topo::Layer::kLeaf).drops, 1u);
+  EXPECT_EQ(fabric.aggregate_switch_stats(topo::Layer::kLeaf).header_pops,
+            0u);
+}
+
 TEST_F(FabricFixture, EverySenderReachesEveryoneElse) {
   util::Rng rng{4711};
   const auto hosts = test::random_hosts(topology, 12, rng);
