@@ -1,10 +1,12 @@
 // Table 2: average (max) switch updates per second under membership churn at
 // 1,000 events/sec, P=1 placement, WVE group sizes — Elmo vs Li et al.
 //
-// Elmo updates are counted by the controller through an UpdateSink (header
-// templates to hypervisors, s-rule diffs to leaf/spine switches, nothing to
-// cores). The Li et al. baseline reinstalls the group's physical tree on
-// every change, touching every switch in old-tree U new-tree.
+// Elmo updates are the p4rt updates the streaming control plane applies to
+// a live fabric, counted per element (flows per hypervisor, s-rules per leaf
+// and physical spine; cores hold no multicast state, so nothing targets
+// them). The plane flushes after every event, so one event's updates to one
+// switch count once. The Li et al. baseline reinstalls the group's physical
+// tree on every change, touching every switch in old-tree U new-tree.
 //
 // Scale via env: ELMO_CHURN_GROUPS (default 20,000), ELMO_EVENTS (default
 // 100,000; paper: 1,000,000), ELMO_PODS.
@@ -12,6 +14,7 @@
 
 #include "baselines/li_multicast.h"
 #include "elmo/churn.h"
+#include "elmo/stream.h"
 #include "figlib.h"
 
 namespace {
@@ -19,9 +22,9 @@ namespace {
 using namespace elmo;
 
 struct LiChurnRates {
-  CountingSink::Rates leaf;
-  CountingSink::Rates spine;
-  CountingSink::Rates core;
+  UpdateRates leaf;
+  UpdateRates spine;
+  UpdateRates core;
 };
 
 // Replays the same kind of join/leave stream against the Li et al. model.
@@ -92,20 +95,9 @@ LiChurnRates li_churn(const topo::ClosTopology& topology,
   }
 
   const double seconds = static_cast<double>(events) / events_per_second;
-  auto rates = [&](std::span<const std::uint64_t> counts) {
-    CountingSink::Rates r;
-    std::uint64_t peak = 0;
-    for (const auto c : counts) {
-      r.total += c;
-      peak = std::max(peak, c);
-    }
-    r.avg = static_cast<double>(r.total) /
-            static_cast<double>(counts.size()) / seconds;
-    r.max = static_cast<double>(peak) / seconds;
-    return r;
-  };
-  return LiChurnRates{rates(leaf_updates), rates(spine_updates),
-                      rates(core_updates)};
+  return LiChurnRates{update_rates(leaf_updates, seconds),
+                      update_rates(spine_updates, seconds),
+                      update_rates(core_updates, seconds)};
 }
 
 }  // namespace
@@ -170,10 +162,17 @@ int main(int argc, char** argv) {
   }
   phases.stop();
 
+  phases.start("install");
+  sim::Fabric fabric{topology};
+  for (const auto id : ids) fabric.install_group(controller, id);
+  stream::ControlPlane plane{controller, fabric,
+                             stream::ControlPlaneOptions{1}};
+  for (const auto id : ids) plane.track_group(id);
+  phases.stop();
+
   phases.start("elmo churn");
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
   ChurnSimulator churn{controller, cloud, ids};
+  churn.set_driver(&plane);
   ChurnParams params;
   params.events = events;
   const double seconds = churn.run(params, rng);
@@ -186,18 +185,20 @@ int main(int argc, char** argv) {
   const auto li = li_churn(topology, cloud, workload, events, 1000.0, rng);
   phases.stop();
 
-  auto cell = [](const CountingSink::Rates& r) {
+  auto cell = [](const UpdateRates& r) {
     return TextTable::fmt(r.avg, 1) + " (" + TextTable::fmt(r.max, 0) + ")";
   };
+  const auto& applied = plane.applied();
+  const std::vector<std::uint64_t> core_updates(topology.num_cores(), 0);
   TextTable table{{"switch", "Elmo avg (max) upd/s", "Li et al. avg (max)",
                    "paper Elmo", "paper Li"}};
-  table.add_row({"hypervisor", cell(sink.hypervisor_rates(seconds)),
+  table.add_row({"hypervisor", cell(update_rates(applied.hosts, seconds)),
                  "NE (NE)", "21 (46)", "NE (NE)"});
-  table.add_row({"leaf", cell(sink.leaf_rates(seconds)),
+  table.add_row({"leaf", cell(update_rates(applied.leaves, seconds)),
                  cell(li.leaf), "5 (13)", "42 (42)"});
-  table.add_row({"spine", cell(sink.spine_rates(seconds)),
+  table.add_row({"spine", cell(update_rates(applied.spines, seconds)),
                  cell(li.spine), "4 (7)", "78 (81)"});
-  table.add_row({"core", cell(sink.core_rates(seconds)),
+  table.add_row({"core", cell(update_rates(core_updates, seconds)),
                  cell(li.core), "0 (0)", "133 (203)"});
   std::cout << table.render();
   std::cout << "Table 2 shape: Elmo absorbs churn at hypervisors; cores need "

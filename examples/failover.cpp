@@ -1,10 +1,12 @@
 // Failure handling (§3.3): what happens to a multicast group when a spine
 // switch dies.
 //
-// Creates a cross-pod group, shows the multipath header, fails a spine,
-// and shows the controller's recomputed header: multipath off, explicit
-// upstream ports chosen by greedy set cover, traffic steered around the
-// dead plane — all without touching any network switch.
+// Creates a cross-pod group, installs it into a fabric, shows the multipath
+// header, fails a spine, and shows the controller's recomputed header:
+// multipath off, explicit upstream ports chosen by greedy set cover, traffic
+// steered around the dead plane. The streaming control plane pushes the
+// change and counts what it applied: hypervisor flows only, no network
+// switch touched.
 //
 //   $ ./build/examples/failover
 #include <iostream>
@@ -12,6 +14,7 @@
 #include "dataplane/common.h"
 #include "elmo/controller.h"
 #include "elmo/evaluator.h"
+#include "elmo/stream.h"
 
 using namespace elmo;
 
@@ -53,6 +56,11 @@ int main() {
   }
   const auto group = controller.create_group(/*tenant=*/1, members);
   const auto& state = controller.group(group);
+  sim::Fabric fabric{topology};
+  fabric.install_group(controller, group);
+  stream::ControlPlane plane{controller, fabric,
+                             stream::ControlPlaneOptions{1}};
+  plane.track_group(group);
 
   describe_header(topology, controller.header_for(group, 0),
                   "header before failure (sender host 0)");
@@ -68,10 +76,15 @@ int main() {
   // --- fail a spine ---------------------------------------------------------
   const auto victim = topology.spine_at(/*pod=*/0, /*plane=*/0);
   std::cout << "failing spine " << victim << " (pod 0, plane 0)...\n";
-  const auto impact = controller.fail_spine(victim);
-  std::cout << "controller: " << impact.groups_affected
-            << " group(s) affected, " << impact.hypervisor_updates
-            << " hypervisor update(s) issued; zero network switches touched\n\n";
+  controller.fail_spine(victim);
+  const auto groups_changed = plane.refresh_all();
+  const auto& st = plane.stats();
+  std::cout << "control plane: " << groups_changed << " group(s) changed, "
+            << st.flow_adds + st.flow_dels
+            << " hypervisor flow update(s) applied, "
+            << st.leaf_srule_adds + st.leaf_srule_dels + st.spine_srule_adds +
+                   st.spine_srule_dels
+            << " network switch update(s)\n\n";
 
   describe_header(topology, controller.header_for(group, 0),
                   "header after failure");

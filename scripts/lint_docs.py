@@ -8,8 +8,9 @@ verifies that everything they point at actually exists in the tree:
 
   * binary paths (`./build/bench/<name>`, `./build/tools/<name>`, ...) have
     a matching source file under bench/, tools/, or examples/;
-  * `--flag` references name a flag some binary parses (`Flags::get_*`),
-    modulo a small allowlist of external tools' flags (cmake/ctest);
+  * `--flag` references name a flag some binary parses (`Flags::get_*`)
+    or some Python driver declares (`add_argument("--flag")`), modulo a
+    small allowlist of external tools' flags (cmake/ctest);
   * `ELMO_<X>` environment variables map to a parsed flag key (util::Flags
     reads `ELMO_<KEY>` for `--<key>`) or appear literally in the sources
     (macros like ELMO_METRIC / ELMO_NO_METRICS, getenv'd vars);
@@ -30,6 +31,8 @@ SOURCE_GLOBS = [
     "src/**/*.cc", "src/**/*.h", "bench/**/*.cc", "tools/**/*.cc",
     "examples/**/*.cpp", "tests/**/*.cc",
 ]
+# The repo's Python drivers; their argparse flags are real command lines too.
+PYTHON_GLOBS = ["scripts/*.py", "perfbench/*.py"]
 
 BINARY_RE = re.compile(r"(?:\./)?build/(bench|tools|examples)/([a-z0-9_]+)")
 # Lookbehind keeps markdown heading anchors (`#...-pool--deterministic-merge`)
@@ -39,9 +42,10 @@ ENV_RE = re.compile(r"ELMO_([A-Z0-9_]+)")
 SECTION_REF_RE = re.compile(r"DESIGN\.md[^§\n]{0,10}§\s*(\d+)")
 SECTION_DEF_RE = re.compile(r"^## (\d+)\.", re.MULTILINE)
 GET_FLAG_RE = re.compile(r'get_(?:int|string|bool|double)\(\s*"([A-Za-z0-9_]+)"')
+ADD_ARGUMENT_RE = re.compile(r"""add_argument\(\s*["']--([a-z][a-z0-9_-]*)["']""")
 
 # Flags that belong to external tools the docs legitimately invoke, plus
-# repo scripts' own argparse-style flags (not routed through util::Flags).
+# scripts/lint_metrics.py's hand-parsed --incidents (it has no argparse).
 EXTERNAL_FLAGS = {"build", "test-dir", "output-on-failure", "incidents"}
 
 
@@ -55,9 +59,12 @@ def iter_doc_files(root: pathlib.Path):
 
 
 def collect_tree_facts(root: pathlib.Path):
-    """Scans the sources once for flag keys and literal ELMO_ identifiers."""
+    """Scans the sources once for flag keys, literal ELMO_ identifiers and
+    the Python drivers' argparse flags (kept apart: util::Flags reads an
+    ELMO_<KEY> variable for its keys, argparse does not)."""
     flag_keys = set()
     elmo_idents = set()
+    script_flags = set()
     for pattern in SOURCE_GLOBS:
         for path in root.glob(pattern):
             text = path.read_text(errors="replace")
@@ -65,7 +72,11 @@ def collect_tree_facts(root: pathlib.Path):
                 flag_keys.add(key.upper())
             for ident in ENV_RE.findall(text):
                 elmo_idents.add(ident)
-    return flag_keys, elmo_idents
+    for pattern in PYTHON_GLOBS:
+        for path in root.glob(pattern):
+            script_flags.update(
+                ADD_ARGUMENT_RE.findall(path.read_text(errors="replace")))
+    return flag_keys, elmo_idents, script_flags
 
 
 def design_sections(root: pathlib.Path):
@@ -75,8 +86,8 @@ def design_sections(root: pathlib.Path):
     return set(SECTION_DEF_RE.findall(design.read_text(errors="replace")))
 
 
-def lint_file(path, rel, flag_keys, elmo_idents, sections, root, errors,
-              docs_mode):
+def lint_file(path, rel, flag_keys, elmo_idents, script_flags, sections, root,
+              errors, docs_mode):
     for lineno, line in enumerate(path.read_text(errors="replace")
                                   .splitlines(), 1):
         def err(msg):
@@ -98,9 +109,11 @@ def lint_file(path, rel, flag_keys, elmo_idents, sections, root, errors,
 
         for flag in FLAG_RE.findall(line):
             key = flag.replace("-", "_").upper()
-            if key not in flag_keys and flag not in EXTERNAL_FLAGS:
-                err(f"--{flag} is not parsed by any binary "
-                    f"(no Flags::get_*(\"{key}\") in the tree)")
+            if (key not in flag_keys and flag not in script_flags
+                    and flag not in EXTERNAL_FLAGS):
+                err(f"--{flag} is not parsed by any binary or script "
+                    f"(no Flags::get_*(\"{key}\") or add_argument("
+                    f"\"--{flag}\") in the tree)")
 
         for ident in ENV_RE.findall(line):
             if ident not in flag_keys and ident not in elmo_idents:
@@ -111,19 +124,19 @@ def lint_file(path, rel, flag_keys, elmo_idents, sections, root, errors,
 def main() -> int:
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1
                         else pathlib.Path(__file__).resolve().parent.parent)
-    flag_keys, elmo_idents = collect_tree_facts(root)
+    flag_keys, elmo_idents, script_flags = collect_tree_facts(root)
     sections = design_sections(root)
 
     errors = []
     checked = 0
     for path in iter_doc_files(root):
         lint_file(path, path.relative_to(root), flag_keys, elmo_idents,
-                  sections, root, errors, docs_mode=True)
+                  script_flags, sections, root, errors, docs_mode=True)
         checked += 1
     for pattern in SOURCE_GLOBS:
         for path in sorted(root.glob(pattern)):
             lint_file(path, path.relative_to(root), flag_keys, elmo_idents,
-                      sections, root, errors, docs_mode=False)
+                      script_flags, sections, root, errors, docs_mode=False)
             checked += 1
 
     for error in errors:
@@ -133,7 +146,8 @@ def main() -> int:
               f"across {checked} file(s)")
         return 1
     print(f"lint_docs: {checked} file(s) clean "
-          f"({len(flag_keys)} flag keys, {len(sections)} DESIGN.md sections)")
+          f"({len(flag_keys)} flag keys, {len(script_flags)} script flags, "
+          f"{len(sections)} DESIGN.md sections)")
     return 0
 
 

@@ -5,46 +5,12 @@
 
 namespace elmo {
 
-CountingSink::CountingSink(const topo::ClosTopology& topology)
-    : hypervisor_(topology.num_hosts(), 0),
-      leaf_(topology.num_leaves(), 0),
-      spine_(topology.num_spines(), 0),
-      core_(topology.num_cores(), 0) {}
-
-void CountingSink::hypervisor_update(topo::HostId host) {
-  ++hypervisor_.at(host);
-}
-
-void CountingSink::network_switch_update(topo::Layer layer, std::uint32_t id) {
-  switch (layer) {
-    case topo::Layer::kLeaf:
-      ++leaf_.at(id);
-      break;
-    case topo::Layer::kSpine:
-      ++spine_.at(id);
-      break;
-    case topo::Layer::kCore:
-      ++core_.at(id);
-      break;
-    case topo::Layer::kHost:
-      throw std::invalid_argument{"CountingSink: host is not a network switch"};
-  }
-}
-
-void CountingSink::reset() {
-  std::fill(hypervisor_.begin(), hypervisor_.end(), 0);
-  std::fill(leaf_.begin(), leaf_.end(), 0);
-  std::fill(spine_.begin(), spine_.end(), 0);
-  std::fill(core_.begin(), core_.end(), 0);
-}
-
-CountingSink::Rates CountingSink::rates_of(
-    std::span<const std::uint64_t> counts, double seconds) {
+UpdateRates update_rates(std::span<const std::uint64_t> counts,
+                         double seconds) {
   if (seconds <= 0.0) {
-    throw std::invalid_argument{
-        "CountingSink: rates over a non-positive duration"};
+    throw std::invalid_argument{"update_rates: non-positive duration"};
   }
-  Rates rates;
+  UpdateRates rates;
   if (counts.empty()) return rates;
   std::uint64_t peak = 0;
   for (const auto c : counts) {
@@ -55,19 +21,6 @@ CountingSink::Rates CountingSink::rates_of(
               static_cast<double>(counts.size()) / seconds;
   rates.max = static_cast<double>(peak) / seconds;
   return rates;
-}
-
-CountingSink::Rates CountingSink::hypervisor_rates(double seconds) const {
-  return rates_of(hypervisor_, seconds);
-}
-CountingSink::Rates CountingSink::leaf_rates(double seconds) const {
-  return rates_of(leaf_, seconds);
-}
-CountingSink::Rates CountingSink::spine_rates(double seconds) const {
-  return rates_of(spine_, seconds);
-}
-CountingSink::Rates CountingSink::core_rates(double seconds) const {
-  return rates_of(core_, seconds);
 }
 
 ChurnSimulator::ChurnSimulator(Controller& controller,

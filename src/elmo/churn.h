@@ -1,12 +1,12 @@
-// Group-membership churn driver and update-rate accounting (paper §5.1.3a,
+// Group-membership churn driver and update-rate math (paper §5.1.3a,
 // Table 2).
 //
 // Join/leave events are generated with per-group frequency proportional to
 // group size; joining VMs are drawn uniformly from the tenant's VMs not in
 // the group, leaving members uniformly from current members; each member
-// carries a random role (sender / receiver / both). The CountingSink
-// attributes every controller-issued rule update to the switch that received
-// it so the bench can report average and maximum per-switch update rates.
+// carries a random role (sender / receiver / both). The updates a run costs
+// are counted where they land: stream::ControlPlane's per-element applied
+// counts, turned into per-switch rates by update_rates.
 #pragma once
 
 #include <cstdint>
@@ -22,36 +22,17 @@
 
 namespace elmo {
 
-class CountingSink final : public UpdateSink {
- public:
-  explicit CountingSink(const topo::ClosTopology& topology);
-
-  void hypervisor_update(topo::HostId host) override;
-  void network_switch_update(topo::Layer layer, std::uint32_t id) override;
-
-  void reset();
-
-  struct Rates {
-    double avg = 0.0;  // mean updates/sec across all switches of the type
-    double max = 0.0;  // the busiest switch of the type
-    std::uint64_t total = 0;
-  };
-  // `seconds` is the simulated wall-clock the counted events span. Throws
-  // std::invalid_argument when seconds <= 0 — a miswired bench used to get
-  // silent all-zero rates and record them as data.
-  Rates hypervisor_rates(double seconds) const;
-  Rates leaf_rates(double seconds) const;
-  Rates spine_rates(double seconds) const;
-  Rates core_rates(double seconds) const;
-
- private:
-  static Rates rates_of(std::span<const std::uint64_t> counts, double seconds);
-
-  std::vector<std::uint64_t> hypervisor_;
-  std::vector<std::uint64_t> leaf_;
-  std::vector<std::uint64_t> spine_;
-  std::vector<std::uint64_t> core_;
+struct UpdateRates {
+  double avg = 0.0;  // mean updates/sec across all elements of the type
+  double max = 0.0;  // the busiest element of the type
+  std::uint64_t total = 0;
 };
+// Rates of per-element update `counts` (one entry per switch or hypervisor
+// of a type) over `seconds` of simulated time. Throws std::invalid_argument
+// when seconds <= 0: a miswired bench used to get silent all-zero rates and
+// record them as data.
+UpdateRates update_rates(std::span<const std::uint64_t> counts,
+                         double seconds);
 
 struct ChurnParams {
   std::size_t events = 100'000;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "util/rng.h"
 
 namespace elmo {
 namespace {
@@ -57,19 +55,6 @@ ControllerMetricIds& controller_metric_ids() {
   return ids;
 }
 
-std::uint64_t group_flow_hash(GroupId group) {
-  std::uint64_t s = 0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(group) << 1);
-  return util::splitmix64(s);
-}
-
-// Per-layer s-rule maps for diffing (logical switch id -> bitmap).
-std::map<std::uint32_t, const net::PortBitmap*> srule_map(
-    const LayerEncoding& layer) {
-  std::map<std::uint32_t, const net::PortBitmap*> out;
-  for (const auto& [id, bitmap] : layer.s_rules) out.emplace(id, &bitmap);
-  return out;
-}
-
 }  // namespace
 
 std::vector<topo::HostId> GroupState::receiver_hosts() const {
@@ -91,11 +76,10 @@ std::vector<topo::HostId> GroupState::sender_hosts() const {
 }
 
 Controller::Controller(const topo::ClosTopology& topology,
-                       const EncoderConfig& config, UpdateSink* sink)
+                       const EncoderConfig& config)
     : topo_{&topology},
       encoder_{make_encoder(topology, config)},
-      srule_space_{topology, config.srule_capacity},
-      sink_{sink} {}
+      srule_space_{topology, config.srule_capacity} {}
 
 GroupState& Controller::state(GroupId group) {
   if (group >= groups_.size() || !groups_[group]) {
@@ -124,42 +108,6 @@ void Controller::reencode(GroupState& g) {
       legacy_leaves_.empty() ? nullptr : &legacy_leaves_);
 }
 
-void Controller::emit_srule_diffs(const GroupEncoding& before,
-                                  const GroupEncoding& after) {
-  if (sink_ == nullptr) return;
-  auto diff = [&](const LayerEncoding& b, const LayerEncoding& a,
-                  auto&& update) {
-    const auto before_map = srule_map(b);
-    const auto after_map = srule_map(a);
-    for (const auto& [id, bitmap] : before_map) {
-      const auto it = after_map.find(id);
-      if (it == after_map.end() || !(*it->second == *bitmap)) update(id);
-    }
-    for (const auto& [id, bitmap] : after_map) {
-      (void)bitmap;
-      if (!before_map.contains(id)) update(id);
-    }
-  };
-  diff(before.spine, after.spine, [&](std::uint32_t pod) {
-    // A logical-spine s-rule lives in every physical spine of the pod.
-    for (std::size_t plane = 0; plane < topo_->params().spines_per_pod;
-         ++plane) {
-      sink_->network_switch_update(topo::Layer::kSpine,
-                                   topo_->spine_at(pod, plane));
-    }
-  });
-  diff(before.leaf, after.leaf, [&](std::uint32_t leaf) {
-    sink_->network_switch_update(topo::Layer::kLeaf, leaf);
-  });
-}
-
-void Controller::notify_senders(const GroupState& g,
-                                std::unordered_set<topo::HostId>& touched) {
-  for (const auto& m : g.members) {
-    if (can_send(m.role)) touched.insert(m.host);
-  }
-}
-
 GroupId Controller::create_group(std::uint32_t tenant,
                                  std::span<const Member> members) {
   const auto id = static_cast<GroupId>(groups_.size());
@@ -171,15 +119,6 @@ GroupId Controller::create_group(std::uint32_t tenant,
   ++live_groups_;
   ELMO_METRIC(reg.add(controller_metric_ids().groups_created));
   reencode(*groups_.back());
-
-  if (sink_ != nullptr) {
-    // Initial installation: every member hypervisor gets its flow rule;
-    // senders additionally receive the header template (same update).
-    std::unordered_set<topo::HostId> touched;
-    for (const auto& m : groups_.back()->members) touched.insert(m.host);
-    for (const auto host : touched) sink_->hypervisor_update(host);
-    emit_srule_diffs(GroupEncoding{}, groups_.back()->encoding);
-  }
   return id;
 }
 
@@ -291,12 +230,6 @@ std::vector<GroupId> Controller::create_groups(
       ++reencodes;
     }
     ++live_groups_;
-    if (sink_ != nullptr) {
-      std::unordered_set<topo::HostId> touched;
-      for (const auto& m : g.members) touched.insert(m.host);
-      for (const auto host : touched) sink_->hypervisor_update(host);
-      emit_srule_diffs(GroupEncoding{}, g.encoding);
-    }
   }
   const auto merge_end = clock::now();
 
@@ -326,135 +259,53 @@ std::vector<GroupId> Controller::create_groups(
 void Controller::remove_group(GroupId group) {
   auto& g = state(group);
   if (g.tree) encoder_->release(g.encoding, *g.tree, srule_space_);
-  emit_srule_diffs(g.encoding, GroupEncoding{});
-  if (sink_ != nullptr) {
-    for (const auto& m : g.members) sink_->hypervisor_update(m.host);
-  }
   groups_[group].reset();
   --live_groups_;
 }
 
 void Controller::join(GroupId group, const Member& member) {
   auto& g = state(group);
-  const GroupEncoding before = g.encoding;
-  const bool downstream_affected = can_receive(member.role);
   g.members.push_back(member);
   ELMO_METRIC(reg.add(controller_metric_ids().joins));
-
-  std::unordered_set<topo::HostId> touched;
-  touched.insert(member.host);  // flow rule (plus header template if sender)
-
-  if (downstream_affected) {
-    reencode(g);
-    emit_srule_diffs(before, g.encoding);
-    // The tree changed, so downstream p-rules and/or upstream rules of every
-    // sender's header template changed.
-    notify_senders(g, touched);
-  }
-  // A sender-only join changes nothing downstream: only the new sender's
-  // hypervisor is updated (paper §5.1.3a).
-
-  if (sink_ != nullptr) {
-    for (const auto host : touched) sink_->hypervisor_update(host);
-  }
+  // A sender-only join changes nothing downstream: the tree is unchanged and
+  // only the new sender's hypervisor needs a flow (paper §5.1.3a).
+  if (can_receive(member.role)) reencode(g);
 }
 
 Member Controller::leave(GroupId group, topo::HostId host) {
-  return leave_matching(group, host, [&](const Member& m) {
+  return leave_matching(group, [&](const Member& m) {
     return m.host == host;
   });
 }
 
 Member Controller::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
-  return leave_matching(group, host, [&](const Member& m) {
+  return leave_matching(group, [&](const Member& m) {
     return m.host == host && m.vm == vm;
   });
 }
 
 template <typename Pred>
-Member Controller::leave_matching(GroupId group, topo::HostId host,
-                                  Pred&& pred) {
+Member Controller::leave_matching(GroupId group, Pred&& pred) {
   auto& g = state(group);
   const auto it = std::find_if(g.members.begin(), g.members.end(), pred);
   if (it == g.members.end()) {
     throw std::invalid_argument{"Controller::leave: host not a member"};
   }
   const Member removed = *it;
-  const bool downstream_affected = can_receive(it->role);
   g.members.erase(it);
   ELMO_METRIC(reg.add(controller_metric_ids().leaves));
-
-  std::unordered_set<topo::HostId> touched;
-  touched.insert(host);  // flow rule removal
-
-  if (downstream_affected) {
-    const GroupEncoding before = g.encoding;
-    reencode(g);
-    emit_srule_diffs(before, g.encoding);
-    notify_senders(g, touched);
-  }
-
-  if (sink_ != nullptr) {
-    for (const auto h : touched) sink_->hypervisor_update(h);
-  }
+  if (can_receive(removed.role)) reencode(g);
   return removed;
 }
 
-Controller::FailureImpact Controller::fail_spine(topo::SpineId spine) {
+void Controller::fail_spine(topo::SpineId spine) {
   failures_.fail_spine(spine);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
-  const auto pod = topo_->pod_of_spine(spine);
-  const auto plane = topo_->plane_of_spine(spine);
-
-  FailureImpact impact;
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (!groups_[id]) continue;
-    const auto& g = *groups_[id];
-    if (!g.tree || !g.tree->spans_multiple_leaves()) continue;
-    // The group's flows traverse this spine if their multipath hash selects
-    // its plane and the group touches its pod.
-    if (group_flow_hash(id) % topo_->params().spines_per_pod != plane) {
-      continue;
-    }
-    const bool touches_pod =
-        std::any_of(g.members.begin(), g.members.end(), [&](const Member& m) {
-          return topo_->pod_of_host(m.host) == pod;
-        });
-    if (!touches_pod) continue;
-    ++impact.groups_affected;
-    // Re-issue upstream rules (multipath off) to every sender hypervisor.
-    std::unordered_set<topo::HostId> touched;
-    notify_senders(g, touched);
-    impact.hypervisor_updates += touched.size();
-    if (sink_ != nullptr) {
-      for (const auto host : touched) sink_->hypervisor_update(host);
-    }
-  }
-  return impact;
 }
 
-Controller::FailureImpact Controller::fail_core(topo::CoreId core) {
+void Controller::fail_core(topo::CoreId core) {
   failures_.fail_core(core);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
-  const auto plane = topo_->plane_of_core(core);
-
-  FailureImpact impact;
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (!groups_[id]) continue;
-    const auto& g = *groups_[id];
-    if (!g.tree || !g.tree->spans_multiple_pods()) continue;
-    if (group_flow_hash(id) % topo_->params().spines_per_pod != plane) {
-      continue;
-    }
-    ++impact.groups_affected;
-    std::unordered_set<topo::HostId> touched;
-    notify_senders(g, touched);
-    impact.hypervisor_updates += touched.size();
-    if (sink_ != nullptr) {
-      for (const auto host : touched) sink_->hypervisor_update(host);
-    }
-  }
-  return impact;
 }
 
 void Controller::restore_spine(topo::SpineId spine) {

@@ -1,19 +1,16 @@
 // Logically-centralized Elmo controller (paper §2).
 //
 // Owns group membership, computes multicast trees and encodings, tracks
-// s-rule capacity, and emits rule updates towards hypervisor and network
-// switches through an UpdateSink. The sink abstraction is what Table 2
-// measures: every call corresponds to one switch needing a (batched) rule
-// update for one event — hypervisors absorb header-template changes, leaf
-// and spine switches only see s-rule changes, cores hold no multicast state
-// at all.
+// s-rule capacity and the failure set. It pushes nothing itself: what a
+// switch must install is p4rt::compile_install of the current state, and
+// stream::ControlPlane diffs that against what the fabric holds and counts
+// the updates it applies (the per-switch load of Table 2 and §5.1.3b).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "elmo/evaluator.h"
@@ -44,16 +41,6 @@ struct Member {
   MemberRole role = MemberRole::kBoth;
 };
 
-// Receives the controller's rule updates. One call = one switch touched by
-// one reconfiguration event.
-class UpdateSink {
- public:
-  virtual ~UpdateSink() = default;
-  virtual void hypervisor_update(topo::HostId /*host*/) {}
-  virtual void network_switch_update(topo::Layer /*layer*/,
-                                     std::uint32_t /*physical_switch_id*/) {}
-};
-
 struct GroupState {
   std::uint32_t tenant = 0;
   net::Ipv4Address address;
@@ -67,11 +54,7 @@ struct GroupState {
 
 class Controller {
  public:
-  Controller(const topo::ClosTopology& topology, const EncoderConfig& config,
-             UpdateSink* sink = nullptr);
-
-  // Swap the update sink (e.g., attach counting only after initial load).
-  void set_sink(UpdateSink* sink) noexcept { sink_ = sink; }
+  Controller(const topo::ClosTopology& topology, const EncoderConfig& config);
 
   // Incremental deployment (§7): mark leaves whose switches are legacy
   // (group-table only). Affects groups encoded afterwards.
@@ -126,15 +109,12 @@ class Controller {
   Member leave(GroupId group, topo::HostId host, std::uint32_t vm);
 
   // --- failure handling (§3.3) --------------------------------------------
-  // Marks the switch failed, recomputes upstream rules for affected groups
-  // (multipath off, explicit ports) and reports how many were affected and
-  // how many hypervisor updates were issued.
-  struct FailureImpact {
-    std::size_t groups_affected = 0;
-    std::size_t hypervisor_updates = 0;
-  };
-  FailureImpact fail_spine(topo::SpineId spine);
-  FailureImpact fail_core(topo::CoreId core);
+  // Marks the switch failed. Every header_for issued afterwards routes
+  // around it (multipath off, explicit upstream ports); network switches
+  // keep their rules. The hypervisor updates that follow are whatever
+  // stream::ControlPlane::refresh_all finds changed.
+  void fail_spine(topo::SpineId spine);
+  void fail_core(topo::CoreId core);
   void restore_spine(topo::SpineId spine);
   void restore_core(topo::CoreId core);
   const topo::FailureSet& failures() const noexcept { return failures_; }
@@ -160,17 +140,12 @@ class Controller {
  private:
   GroupState& state(GroupId group);
   template <typename Pred>
-  Member leave_matching(GroupId group, topo::HostId host, Pred&& pred);
-  void reencode(GroupState& g);  // recompute tree+encoding, s-rule diffs
-  void emit_srule_diffs(const GroupEncoding& before,
-                        const GroupEncoding& after);
-  void notify_senders(const GroupState& g,
-                      std::unordered_set<topo::HostId>& touched);
+  Member leave_matching(GroupId group, Pred&& pred);
+  void reencode(GroupState& g);  // recompute tree + encoding
 
   const topo::ClosTopology* topo_;
   std::unique_ptr<TreeEncoder> encoder_;  // scheme picked by config.encoder
   SRuleSpace srule_space_;
-  UpdateSink* sink_;
   topo::FailureSet failures_;
   std::vector<bool> legacy_leaves_;
   std::vector<std::optional<GroupState>> groups_;

@@ -107,6 +107,10 @@ ControlPlane::ControlPlane(Controller& controller, sim::Fabric& fabric,
   if (options_.flush_threshold == 0) {
     throw std::invalid_argument{"ControlPlane: flush_threshold must be >= 1"};
   }
+  const auto& t = fabric.topology();
+  applied_.hosts.assign(t.num_hosts(), 0);
+  applied_.leaves.assign(t.num_leaves(), 0);
+  applied_.spines.assign(t.num_spines(), 0);
 }
 
 void ControlPlane::ingest(const Event& event) {
@@ -132,16 +136,12 @@ void ControlPlane::join(GroupId group, const Member& member) {
       "churn:join", {{"group", static_cast<double>(group)},
                      {"host", static_cast<double>(member.host)},
                      {"vm", static_cast<double>(member.vm)}});
-  const auto queued_before = stats_.updates_coalesced + pending_.size();
   auto span = trace_child_begin("reencode", root);
   controller_->join(group, member);
   trace_end(span);
   span = trace_child_begin("delta_diff", root);
-  diff_group(group, /*seed_only=*/false);
+  if (diff_group(group, /*seed_only=*/false) == 0) ++stats_.clean_events;
   trace_end(span);
-  if (stats_.updates_coalesced + pending_.size() == queued_before) {
-    ++stats_.clean_events;
-  }
   if (tracer_ != nullptr) {
     // Arm the time-to-effect watch: it arms for real when the flow install
     // lands and closes at the first delivery over the fresh rule.
@@ -166,16 +166,12 @@ Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
     const auto mit = mirror_.find(group);
     if (mit != mirror_.end()) addr = mit->second.address;
   }
-  const auto queued_before = stats_.updates_coalesced + pending_.size();
   auto span = trace_child_begin("reencode", root);
   auto removed = controller_->leave(group, host, vm);
   trace_end(span);
   span = trace_child_begin("delta_diff", root);
-  diff_group(group, /*seed_only=*/false);
+  if (diff_group(group, /*seed_only=*/false) == 0) ++stats_.clean_events;
   trace_end(span);
-  if (stats_.updates_coalesced + pending_.size() == queued_before) {
-    ++stats_.clean_events;
-  }
   if (tracer_ != nullptr && addr != 0) {
     // Watch only when this leave takes the host's flow out entirely — that
     // is the removal whose time-to-effect (stale deliveries until the
@@ -277,17 +273,23 @@ void ControlPlane::refresh(GroupId group) {
   maybe_auto_flush();
 }
 
-void ControlPlane::refresh_all() {
+std::size_t ControlPlane::refresh_all() {
   // Collect first: diff_group may erase empty mirrors under us.
   std::vector<GroupId> groups;
   groups.reserve(mirror_.size());
   for (const auto& [group, m] : mirror_) groups.push_back(group);
   std::sort(groups.begin(), groups.end());
-  for (const auto group : groups) diff_group(group, /*seed_only=*/false);
+  std::size_t changed = 0;
+  for (const auto group : groups) {
+    if (diff_group(group, /*seed_only=*/false) != 0) ++changed;
+  }
   maybe_auto_flush();
+  return changed;
 }
 
-void ControlPlane::diff_group(GroupId group, bool seed_only) {
+std::size_t ControlPlane::diff_group(GroupId group, bool seed_only) {
+  // Every queue() call either adds a pending rule or coalesces one.
+  const auto queued_before = stats_.updates_coalesced + pending_.size();
   auto& mirror = mirror_[group];
   const bool live = controller_->has_group(group);
 
@@ -373,6 +375,7 @@ void ControlPlane::diff_group(GroupId group, bool seed_only) {
   if (!live && mirror.flow_hash.empty() && mirror.srule_hash.empty()) {
     mirror_.erase(group);
   }
+  return stats_.updates_coalesced + pending_.size() - queued_before;
 }
 
 void ControlPlane::queue(PendingKey key, p4rt::Update update) {
@@ -393,27 +396,33 @@ void ControlPlane::note_applied(const p4rt::Update& update) {
   switch (update.kind) {
     case p4rt::UpdateKind::kHypervisorFlowAdd:
       ++stats_.flow_adds;
+      ++applied_.hosts[update.host];
       ELMO_METRIC(reg.add(stream_metric_ids().updates_hypervisor));
       break;
     case p4rt::UpdateKind::kHypervisorFlowDel:
       ++stats_.flow_dels;
+      ++applied_.hosts[update.host];
       ELMO_METRIC(reg.add(stream_metric_ids().updates_hypervisor));
       break;
     case p4rt::UpdateKind::kSRuleAdd:
       if (update.layer == topo::Layer::kLeaf) {
         ++stats_.leaf_srule_adds;
+        ++applied_.leaves[update.switch_id];
         ELMO_METRIC(reg.add(stream_metric_ids().updates_leaf));
       } else {
         ++stats_.spine_srule_adds;
+        ++applied_.spines[update.switch_id];
         ELMO_METRIC(reg.add(stream_metric_ids().updates_spine));
       }
       break;
     case p4rt::UpdateKind::kSRuleDel:
       if (update.layer == topo::Layer::kLeaf) {
         ++stats_.leaf_srule_dels;
+        ++applied_.leaves[update.switch_id];
         ELMO_METRIC(reg.add(stream_metric_ids().updates_leaf));
       } else {
         ++stats_.spine_srule_dels;
+        ++applied_.spines[update.switch_id];
         ELMO_METRIC(reg.add(stream_metric_ids().updates_spine));
       }
       break;

@@ -18,6 +18,11 @@
 // p4rt::encode/decode/apply_updates when it reaches
 // ControlPlaneOptions::flush_threshold (or on an explicit flush()). Per-
 // event ingest-to-install lag is recorded at flush time.
+//
+// Every update that lands is counted against the element that installed it
+// (applied()). This is the repo's only churn and failure accounting: Tables
+// 1 and 2 and §5.1.3b report these counts, at flush threshold 1 for churn so
+// that one event's updates to one switch are one update.
 #pragma once
 
 #include <chrono>
@@ -79,6 +84,16 @@ struct ControlPlaneStats {
   util::Distribution install_lag_seconds;
 };
 
+// Applied rule updates (adds + dels) per element, indexed by id: flows per
+// host, s-rules per leaf and per physical spine. Cores hold no multicast
+// state, so no update ever targets one. elmo::update_rates turns a vector
+// into per-switch rates.
+struct AppliedUpdates {
+  std::vector<std::uint64_t> hosts;
+  std::vector<std::uint64_t> leaves;
+  std::vector<std::uint64_t> spines;
+};
+
 class ControlPlane final : public MembershipDriver {
  public:
   ControlPlane(Controller& controller, sim::Fabric& fabric,
@@ -109,9 +124,11 @@ class ControlPlane final : public MembershipDriver {
   // out-of-band controller mutations, e.g. fail_spine header recomputes.
   void refresh(GroupId group);
   // Refreshes every tracked group (failure handling touches many groups).
-  void refresh_all();
+  // Returns the number of groups whose re-diff queued at least one update.
+  std::size_t refresh_all();
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
+  const AppliedUpdates& applied() const noexcept { return applied_; }
   const Controller& controller() const noexcept { return *controller_; }
 
   // --- causal tracing (DESIGN.md §15) --------------------------------------
@@ -151,9 +168,9 @@ class ControlPlane final : public MembershipDriver {
   };
 
   // Compiles `group`'s desired rules (p4rt::compile_install) and queues the
-  // delta against the mirror. `seed_only` populates the mirror without
-  // queueing (track_group).
-  void diff_group(GroupId group, bool seed_only);
+  // delta against the mirror; returns the number of updates queued.
+  // `seed_only` populates the mirror without queueing (track_group).
+  std::size_t diff_group(GroupId group, bool seed_only);
   void queue(PendingKey key, p4rt::Update update);
   void note_applied(const p4rt::Update& update);
   void maybe_auto_flush();
@@ -171,6 +188,7 @@ class ControlPlane final : public MembershipDriver {
   sim::Fabric* fabric_;
   ControlPlaneOptions options_;
   ControlPlaneStats stats_;
+  AppliedUpdates applied_;
 
   std::unordered_map<GroupId, GroupMirror> mirror_;
   // Hosts with at least one member VM of a group — drives host_fail.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "elmo/stream.h"
+
 namespace elmo {
 namespace {
 
@@ -40,8 +42,6 @@ struct ChurnFixture : ::testing::Test, ChurnWorld {};
 
 TEST_F(ChurnFixture, EventsKeepGroupsWithinBounds) {
   const auto ids = load_groups(50);
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
   ChurnSimulator churn{controller, cloud, ids};
 
   ChurnParams params;
@@ -73,25 +73,31 @@ TEST_F(ChurnFixture, EventsKeepGroupsWithinBounds) {
 }
 
 TEST_F(ChurnFixture, UpdateLoadShape) {
-  // The paper's Table 2 ordering: hypervisors absorb most updates, leaves
-  // and spines see only s-rule changes, cores none at all.
+  // The paper's Table 2 ordering, counted from the updates the streaming
+  // plane applied (flush every event): hypervisors absorb most updates,
+  // leaves and spines see only s-rule changes, and nothing lands on a core.
   const auto ids = load_groups(50);
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
+  sim::Fabric fabric{topology};
+  for (const auto id : ids) fabric.install_group(controller, id);
+  stream::ControlPlane plane{controller, fabric,
+                             stream::ControlPlaneOptions{1}};
+  for (const auto id : ids) plane.track_group(id);
   ChurnSimulator churn{controller, cloud, ids};
+  churn.set_driver(&plane);
 
   ChurnParams params;
   params.events = 3000;
   params.min_group_size = 3;
   const double seconds = churn.run(params, rng);
 
-  const auto hyp = sink.hypervisor_rates(seconds);
-  const auto leaf = sink.leaf_rates(seconds);
-  const auto spine = sink.spine_rates(seconds);
-  const auto core = sink.core_rates(seconds);
+  const auto& applied = plane.applied();
+  const auto hyp = update_rates(applied.hosts, seconds);
+  const auto leaf = update_rates(applied.leaves, seconds);
+  const auto spine = update_rates(applied.spines, seconds);
 
   EXPECT_GT(hyp.total, 0u);
-  EXPECT_EQ(core.total, 0u);
+  EXPECT_EQ(hyp.total + leaf.total + spine.total,
+            plane.stats().updates_applied);
   EXPECT_GE(hyp.total, leaf.total);
   EXPECT_GE(hyp.total, spine.total);
   EXPECT_GE(hyp.max, hyp.avg);
@@ -243,38 +249,22 @@ TEST(ChurnNoops, ExhaustedTenantAttemptsAreCountedAndExcluded) {
   EXPECT_DOUBLE_EQ(seconds, 0.0);
 }
 
-TEST(CountingSink, RateMath) {
-  const topo::ClosTopology t{topo::ClosParams::small_test()};
-  CountingSink sink{t};
-  sink.hypervisor_update(3);
-  sink.hypervisor_update(3);
-  sink.hypervisor_update(7);
-  const auto rates = sink.hypervisor_rates(2.0);
+TEST(UpdateRates, RateMath) {
+  const std::vector<std::uint64_t> counts{0, 0, 0, 2, 0, 0, 0, 1};
+  const auto rates = update_rates(counts, 2.0);
   EXPECT_EQ(rates.total, 3u);
-  EXPECT_DOUBLE_EQ(rates.max, 1.0);  // host 3: 2 updates / 2 s
-  EXPECT_DOUBLE_EQ(rates.avg,
-                   3.0 / static_cast<double>(t.num_hosts()) / 2.0);
-  sink.reset();
-  EXPECT_EQ(sink.hypervisor_rates(1.0).total, 0u);
+  EXPECT_DOUBLE_EQ(rates.max, 1.0);  // element 3: 2 updates / 2 s
+  EXPECT_DOUBLE_EQ(rates.avg, 3.0 / 8.0 / 2.0);
+  EXPECT_EQ(update_rates(std::vector<std::uint64_t>(8, 0), 1.0).total, 0u);
 }
 
-TEST(CountingSink, RejectsNonPositiveDuration) {
+TEST(UpdateRates, RejectsNonPositiveDuration) {
   // A zero/negative duration used to yield silent all-zero rates, which a
   // miswired bench would happily record as data.
-  const topo::ClosTopology t{topo::ClosParams::small_test()};
-  CountingSink sink{t};
-  sink.hypervisor_update(0);
-  EXPECT_THROW(sink.hypervisor_rates(0.0), std::invalid_argument);
-  EXPECT_THROW(sink.leaf_rates(-1.0), std::invalid_argument);
-  EXPECT_THROW(sink.spine_rates(0.0), std::invalid_argument);
-  EXPECT_THROW(sink.core_rates(0.0), std::invalid_argument);
-}
-
-TEST(CountingSink, RejectsHostAsNetworkSwitch) {
-  const topo::ClosTopology t{topo::ClosParams::small_test()};
-  CountingSink sink{t};
-  EXPECT_THROW(sink.network_switch_update(topo::Layer::kHost, 0),
-               std::invalid_argument);
+  const std::vector<std::uint64_t> counts{1};
+  EXPECT_THROW(update_rates(counts, 0.0), std::invalid_argument);
+  EXPECT_THROW(update_rates(counts, -1.0), std::invalid_argument);
+  EXPECT_THROW(update_rates({}, 0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <set>
 #include <span>
 #include <string>
 
-#include "elmo/churn.h"
 #include "elmo/header.h"
+#include "elmo/stream.h"
 #include "p4rt/runtime.h"
 
 namespace elmo {
@@ -24,6 +27,36 @@ std::vector<Member> members_of(std::initializer_list<topo::HostId> hosts) {
     out.push_back(Member{h, vm++, MemberRole::kBoth});
   }
   return out;
+}
+
+// A controller, a fabric holding its groups, and the streaming plane that
+// keeps the two in step. The plane flushes every event, so the updates one
+// event makes to one element count once (how Table 2 counts them).
+struct WiredController {
+  WiredController(const topo::ClosTopology& t, const EncoderConfig& cfg)
+      : controller{t, cfg},
+        fabric{t},
+        plane{controller, fabric, stream::ControlPlaneOptions{1}} {}
+
+  GroupId install(std::uint32_t tenant, std::span<const Member> members) {
+    const auto id = controller.create_group(tenant, members);
+    fabric.install_group(controller, id);
+    plane.track_group(id);
+    return id;
+  }
+
+  Controller controller;
+  sim::Fabric fabric;
+  stream::ControlPlane plane;
+};
+
+std::uint64_t sum(std::span<const std::uint64_t> counts) {
+  return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+}
+
+std::uint64_t srule_updates(const stream::ControlPlaneStats& st) {
+  return st.leaf_srule_adds + st.leaf_srule_dels + st.spine_srule_adds +
+         st.spine_srule_dels;
 }
 
 TEST(Controller, CreateAndQueryGroup) {
@@ -89,73 +122,89 @@ TEST(Controller, LeaveUnknownMemberThrows) {
 
 TEST(Controller, SenderOnlyJoinUpdatesOneHypervisor) {
   // Paper §5.1.3a: "If a member is a sender, the controller only updates the
-  // source hypervisor switch."
+  // source hypervisor switch." Counted as the updates the wire applied.
   const auto t = small();
-  CountingSink sink{t};
-  Controller controller{t, EncoderConfig{}};
-  const auto id = controller.create_group(0, members_of({0, 1, 8}));
-  controller.set_sink(&sink);
+  WiredController w{t, EncoderConfig{}};
+  const auto id = w.install(0, members_of({0, 1, 8}));
 
-  controller.join(id, Member{33, 9, MemberRole::kSender});
-  const auto rates = sink.hypervisor_rates(1.0);
-  EXPECT_EQ(rates.total, 1u);
-  EXPECT_EQ(sink.leaf_rates(1.0).total, 0u);
-  EXPECT_EQ(sink.spine_rates(1.0).total, 0u);
-  EXPECT_EQ(sink.core_rates(1.0).total, 0u);
+  w.plane.join(id, Member{33, 9, MemberRole::kSender});
+  const auto& applied = w.plane.applied();
+  EXPECT_EQ(sum(applied.hosts), 1u);
+  EXPECT_EQ(applied.hosts[33], 1u);
+  EXPECT_EQ(sum(applied.leaves), 0u);
+  EXPECT_EQ(sum(applied.spines), 0u);
 }
 
 TEST(Controller, ReceiverJoinUpdatesSenderHypervisors) {
   const auto t = small();
-  CountingSink sink{t};
-  Controller controller{t, EncoderConfig{}};
-  std::vector<Member> members{
+  WiredController w{t, EncoderConfig{}};
+  const std::vector<Member> members{
       Member{0, 0, MemberRole::kSender},
       Member{4, 1, MemberRole::kReceiver},
       Member{8, 2, MemberRole::kBoth},
   };
-  const auto id = controller.create_group(0, members);
-  controller.set_sink(&sink);
+  const auto id = w.install(0, members);
 
-  controller.join(id, Member{12, 3, MemberRole::kReceiver});
-  // Touched: the joining host (12) + the senders (0 and 8).
-  EXPECT_EQ(sink.hypervisor_rates(1.0).total, 3u);
+  w.plane.join(id, Member{12, 3, MemberRole::kReceiver});
+  // Host 12 brings a new leaf into the tree: the joining host gets its flow
+  // and both senders (0 and 8) a new header; receiver-only host 4 keeps its.
+  const auto& applied = w.plane.applied();
+  EXPECT_EQ(sum(applied.hosts), 3u);
+  for (const topo::HostId host : {0u, 8u, 12u}) {
+    EXPECT_EQ(applied.hosts[host], 1u) << "host " << host;
+  }
+  EXPECT_EQ(applied.hosts[4], 0u);
 }
 
 TEST(Controller, CoreSwitchesNeverUpdated) {
   const auto t = small();
-  CountingSink sink{t};
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;
   cfg.hmax_spine = 1;
-  Controller controller{t, cfg, &sink};
+  WiredController w{t, cfg};
   std::vector<Member> members;
   for (std::uint32_t i = 0; i < 14; ++i) {
     members.push_back(Member{static_cast<topo::HostId>(i * 4 + 1), i,
                              MemberRole::kBoth});
   }
-  const auto id = controller.create_group(0, members);
+  const auto id = w.install(0, members);
   for (std::uint32_t vm = 20; vm < 28; ++vm) {
-    controller.join(id, Member{(vm * 4 + 2) % static_cast<std::uint32_t>(
-                                   t.num_hosts()),
-                               vm, MemberRole::kReceiver});
+    w.plane.join(id, Member{(vm * 4 + 2) % static_cast<std::uint32_t>(
+                                t.num_hosts()),
+                            vm, MemberRole::kReceiver});
   }
-  EXPECT_GT(sink.hypervisor_rates(1.0).total, 0u);
-  EXPECT_EQ(sink.core_rates(1.0).total, 0u);  // the headline property
+  const auto& applied = w.plane.applied();
+  EXPECT_GT(sum(applied.hosts), 0u);
+  // The headline property: every applied update landed on a hypervisor, a
+  // leaf or a spine, and no core holds multicast state.
+  EXPECT_EQ(sum(applied.hosts) + sum(applied.leaves) + sum(applied.spines),
+            w.plane.stats().updates_applied);
+  for (topo::CoreId core = 0; core < t.num_cores(); ++core) {
+    EXPECT_TRUE(w.fabric.core(core).srules().empty()) << "core " << core;
+  }
 }
 
 TEST(Controller, SRuleChangesReachNetworkSwitches) {
   const auto t = small();
-  CountingSink sink{t};
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;  // most leaves spill to s-rules
-  Controller controller{t, cfg, &sink};
+  WiredController w{t, cfg};
   std::vector<Member> members;
   for (std::uint32_t i = 0; i < 16; ++i) {
     members.push_back(
         Member{static_cast<topo::HostId>(i * 4), i, MemberRole::kBoth});
   }
-  controller.create_group(0, members);
-  EXPECT_GT(sink.leaf_rates(1.0).total, 0u);
+  const auto id = w.controller.create_group(0, members);
+  w.plane.refresh(id);  // untracked: the whole install crosses the wire
+
+  const auto& s_rules = w.controller.group(id).encoding.leaf.s_rules;
+  ASSERT_FALSE(s_rules.empty());
+  const auto& applied = w.plane.applied();
+  EXPECT_EQ(sum(applied.leaves), s_rules.size());
+  for (const auto& [leaf, bitmap] : s_rules) {
+    (void)bitmap;
+    EXPECT_EQ(applied.leaves[leaf], 1u) << "leaf " << leaf;
+  }
 }
 
 TEST(Controller, HeaderForParsesBack) {
@@ -170,29 +219,66 @@ TEST(Controller, HeaderForParsesBack) {
   EXPECT_TRUE(parsed.core_pods.has_value());
 }
 
-TEST(Controller, FailureImpactCountsAffectedGroups) {
+TEST(Controller, FailureRefreshUpdatesExactlyTheChangedSenderFlows) {
+  // §5.1.3b on the wire: after a spine or core failure, refresh_all pushes a
+  // new flow to exactly the sender hosts whose header changed and touches no
+  // network switch; restoring and refreshing again leaves the fabric equal
+  // to a fresh batch install.
   const auto t = small();
-  Controller controller{t, EncoderConfig{}};
+  WiredController w{t, EncoderConfig{}};
+  std::vector<GroupId> ids;
   // 40 multi-pod groups.
   for (std::uint32_t g = 0; g < 40; ++g) {
-    std::vector<Member> members{
+    const std::vector<Member> members{
         Member{(g * 3) % 16, 0, MemberRole::kBoth},
         Member{16 + (g * 5) % 16, 1, MemberRole::kBoth},
         Member{32 + (g * 7) % 16, 2, MemberRole::kBoth},
     };
-    controller.create_group(g, members);
+    ids.push_back(w.install(g, members));
   }
-  const auto spine_impact = controller.fail_spine(t.spine_at(0, 0));
-  EXPECT_GT(spine_impact.groups_affected, 0u);
-  EXPECT_LT(spine_impact.groups_affected, 40u);
-  EXPECT_GE(spine_impact.hypervisor_updates, spine_impact.groups_affected);
-  controller.restore_spine(t.spine_at(0, 0));
+  auto headers = [&] {
+    std::map<std::pair<GroupId, topo::HostId>, std::vector<std::uint8_t>> out;
+    for (const auto id : ids) {
+      for (const auto host : w.controller.group(id).sender_hosts()) {
+        out[{id, host}] = w.controller.header_for(id, host);
+      }
+    }
+    return out;
+  };
+  auto check = [&](const char* what, auto&& fail, auto&& restore) {
+    SCOPED_TRACE(what);
+    const auto before = headers();
+    const auto& st = w.plane.stats();
+    const auto flows_before = st.flow_adds + st.flow_dels;
+    const auto srules_before = srule_updates(st);
 
-  const auto core_impact = controller.fail_core(t.core_at(0, 0));
-  EXPECT_GT(core_impact.groups_affected, 0u);
-  // Core failures affect more groups than a single-pod spine failure
-  // (every multi-pod group using that plane, regardless of pod).
-  EXPECT_GE(core_impact.groups_affected, spine_impact.groups_affected);
+    fail();
+    const auto groups_changed = w.plane.refresh_all();
+    w.plane.flush();
+    std::size_t senders_changed = 0;
+    std::set<GroupId> groups;
+    for (const auto& [key, bytes] : headers()) {
+      if (before.at(key) == bytes) continue;
+      ++senders_changed;
+      groups.insert(key.first);
+    }
+    EXPECT_GT(senders_changed, 0u);
+    EXPECT_EQ(st.flow_adds + st.flow_dels - flows_before, senders_changed);
+    EXPECT_EQ(groups_changed, groups.size());
+    EXPECT_EQ(srule_updates(st), srules_before);
+
+    restore();
+    w.plane.refresh_all();
+    w.plane.flush();
+    sim::Fabric fresh{t};
+    for (const auto id : ids) fresh.install_group(w.controller, id);
+    EXPECT_EQ(stream::fabric_state_digest(w.fabric),
+              stream::fabric_state_digest(fresh));
+  };
+  check("spine", [&] { w.controller.fail_spine(t.spine_at(0, 0)); },
+        [&] { w.controller.restore_spine(t.spine_at(0, 0)); });
+  check("core", [&] { w.controller.fail_core(t.core_at(0, 0)); },
+        [&] { w.controller.restore_core(t.core_at(0, 0)); });
 }
 
 TEST(Controller, FailureChangesIssuedHeaders) {
