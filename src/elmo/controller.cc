@@ -318,16 +318,9 @@ void Controller::restore_core(topo::CoreId core) {
 
 std::vector<std::uint8_t> Controller::header_for(GroupId group,
                                                  topo::HostId sender) const {
-  return header_for(group, sender,
-                    encoder_->codec().serialize_downstream(
-                        this->group(group).encoding));
-}
-
-std::vector<std::uint8_t> Controller::header_for(
-    GroupId group, topo::HostId sender,
-    std::span<const std::uint8_t> downstream) const {
-  const auto route = this->group(group).tree->sender_route(sender, failures_);
-  return encoder_->codec().serialize(route.encoding, downstream);
+  const auto& g = this->group(group);
+  const auto route = g.tree->sender_route(sender, failures_);
+  return encoder_->codec().serialize(route.encoding, g.encoding);
 }
 
 }  // namespace elmo

@@ -3,8 +3,9 @@
 // Owns group membership, computes multicast trees and encodings, tracks
 // s-rule capacity and the failure set. It pushes nothing itself: what a
 // switch must install is p4rt::compile_install of the current state, and
-// stream::ControlPlane diffs that against what the fabric holds and counts
-// the updates it applies (the per-switch load of Table 2 and §5.1.3b).
+// stream::ControlPlane diffs the same compile (p4rt::GroupCompile) against
+// what the fabric holds and counts the updates it applies (the per-switch
+// load of Table 2 and §5.1.3b).
 #pragma once
 
 #include <cstdint>
@@ -127,15 +128,11 @@ class Controller {
   SRuleSpace& srule_space() noexcept { return srule_space_; }
   const topo::ClosTopology& topology() const noexcept { return *topo_; }
 
-  // Serialized Elmo header a given sender's hypervisor would push.
+  // Serialized Elmo header a given sender's hypervisor would push. Installs
+  // build the same bytes from p4rt::GroupCompile, which serializes the
+  // group's shared downstream suffix once.
   std::vector<std::uint8_t> header_for(GroupId group,
                                        topo::HostId sender) const;
-  // Same bytes, reusing the group's sender-independent suffix
-  // (encoder().codec().serialize_downstream of its encoding), so an install
-  // with many senders serializes the shared p-rules once.
-  std::vector<std::uint8_t> header_for(
-      GroupId group, topo::HostId sender,
-      std::span<const std::uint8_t> downstream) const;
 
  private:
   GroupState& state(GroupId group);

@@ -23,13 +23,24 @@ struct ContentHash {
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
 };
 
-std::uint64_t flow_hash(const p4rt::Update& u) {
+// A flow's content: vni, local VMs, and — for a sender host — its header as
+// the upstream prefix bytes plus the hash of the group's shared downstream
+// suffix (`suffix`, hashed once per group).
+std::uint64_t flow_hash(const p4rt::GroupCompile& view,
+                        const p4rt::GroupCompile::Flow& flow,
+                        std::uint64_t suffix) {
   ContentHash hash;
-  hash.u32(u.vni);
-  hash.u64(u.local_vms.size());
-  for (const auto vm : u.local_vms) hash.u32(vm);
-  hash.u64(u.elmo_header.size());
-  hash.bytes(u.elmo_header.data(), u.elmo_header.size());
+  hash.u32(view.vni);
+  const auto vms = view.local_vms(flow);
+  hash.u64(vms.size());
+  for (const auto vm : vms) hash.u32(vm);
+  hash.u32(flow.has_header ? 1 : 0);
+  if (flow.has_header) {
+    const auto prefix = view.prefix(flow);
+    hash.u64(prefix.size());
+    hash.bytes(prefix.data(), prefix.size());
+    hash.u64(suffix);
+  }
   return hash.h;
 }
 
@@ -38,6 +49,10 @@ std::uint64_t bitmap_hash(const net::PortBitmap& bitmap) {
   hash.u64(bitmap.size());
   for (const auto word : bitmap.words()) hash.u64(word);
   return hash.h;
+}
+
+std::uint64_t srule_location(topo::Layer layer, std::uint32_t switch_id) {
+  return std::uint64_t{static_cast<std::uint8_t>(layer)} << 32 | switch_id;
 }
 
 struct StreamMetricIds {
@@ -163,8 +178,7 @@ Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
                       {"vm", static_cast<double>(vm)}});
   std::uint32_t addr = 0;
   if (tracer_ != nullptr) {
-    const auto mit = mirror_.find(group);
-    if (mit != mirror_.end()) addr = mit->second.address;
+    if (const auto* m = tracked(group)) addr = m->address;
   }
   auto span = trace_child_begin("reencode", root);
   auto removed = controller_->leave(group, host, vm);
@@ -176,10 +190,7 @@ Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
     // Watch only when this leave takes the host's flow out entirely — that
     // is the removal whose time-to-effect (stale deliveries until the
     // FlowDel lands) is measurable at the fabric.
-    const auto mit = mirror_.find(group);
-    const bool flow_gone =
-        mit == mirror_.end() || !mit->second.flow_hash.contains(host);
-    if (flow_gone) {
+    if (!holds_flow(group, host)) {
       fabric_->trace_watch(net::Ipv4Address{addr}, host, root,
                            /*leave=*/true);
     }
@@ -198,16 +209,14 @@ std::size_t ControlPlane::host_fail(topo::HostId host) {
       "churn:host_fail", {{"host", static_cast<double>(host)}});
 
   std::size_t evicted = 0;
-  const auto it = host_groups_.find(host);
-  if (it != host_groups_.end()) {
+  if (host < host_groups_.size()) {
     // Copy: diff_group edits the index under us.
-    const std::vector<GroupId> groups{it->second.begin(), it->second.end()};
+    const auto groups = host_groups_[host];
     for (const auto group : groups) {
       if (!controller_->has_group(group)) continue;
       std::uint32_t addr = 0;
       if (tracer_ != nullptr) {
-        const auto mit = mirror_.find(group);
-        if (mit != mirror_.end()) addr = mit->second.address;
+        if (const auto* m = tracked(group)) addr = m->address;
       }
       // Collect first: Controller::leave invalidates member iteration.
       std::vector<std::uint32_t> vms;
@@ -223,14 +232,9 @@ std::size_t ControlPlane::host_fail(topo::HostId host) {
       span = trace_child_begin("delta_diff", root);
       diff_group(group, /*seed_only=*/false);
       trace_end(span);
-      if (tracer_ != nullptr && addr != 0) {
-        const auto mit = mirror_.find(group);
-        const bool flow_gone =
-            mit == mirror_.end() || !mit->second.flow_hash.contains(host);
-        if (flow_gone) {
-          fabric_->trace_watch(net::Ipv4Address{addr}, host, root,
-                               /*leave=*/true);
-        }
+      if (tracer_ != nullptr && addr != 0 && !holds_flow(group, host)) {
+        fabric_->trace_watch(net::Ipv4Address{addr}, host, root,
+                             /*leave=*/true);
       }
     }
   }
@@ -274,122 +278,148 @@ void ControlPlane::refresh(GroupId group) {
 }
 
 std::size_t ControlPlane::refresh_all() {
-  // Collect first: diff_group may erase empty mirrors under us.
-  std::vector<GroupId> groups;
-  groups.reserve(mirror_.size());
-  for (const auto& [group, m] : mirror_) groups.push_back(group);
-  std::sort(groups.begin(), groups.end());
   std::size_t changed = 0;
-  for (const auto group : groups) {
+  for (GroupId group = 0; group < mirror_.size(); ++group) {
+    if (!mirror_[group].tracked) continue;
     if (diff_group(group, /*seed_only=*/false) != 0) ++changed;
+    // Keys carry the group address, so nothing coalesces across groups:
+    // flushing here applies the same updates with the pending set bounded.
+    maybe_auto_flush();
   }
-  maybe_auto_flush();
   return changed;
 }
 
+const ControlPlane::GroupMirror* ControlPlane::tracked(GroupId group) const {
+  return group < mirror_.size() && mirror_[group].tracked ? &mirror_[group]
+                                                          : nullptr;
+}
+
+bool ControlPlane::holds_flow(GroupId group, topo::HostId host) const {
+  const auto* m = tracked(group);
+  if (m == nullptr) return false;
+  const auto it = std::lower_bound(
+      m->flows.begin(), m->flows.end(), host,
+      [](const RuleHash& slot, topo::HostId h) { return slot.location < h; });
+  return it != m->flows.end() && it->location == host;
+}
+
 std::size_t ControlPlane::diff_group(GroupId group, bool seed_only) {
+  const bool live = controller_->has_group(group);
+  if (!live && tracked(group) == nullptr) return 0;
+  if (group >= mirror_.size()) mirror_.resize(group + 1);
+  auto& mirror = mirror_[group];
+  mirror.tracked = true;
   // Every queue() call either adds a pending rule or coalesces one.
   const auto queued_before = stats_.updates_coalesced + pending_.size();
-  auto& mirror = mirror_[group];
-  const bool live = controller_->has_group(group);
 
-  // Desired rules: the full install p4rt would push for the group, indexed
-  // by rule location.
-  std::map<topo::HostId, p4rt::Update> flows;
-  std::map<std::pair<std::uint8_t, std::uint32_t>, p4rt::Update> srules;
+  // Desired rules: the group's compile view (none once the group is gone).
+  auto& view = compiled_;
+  std::uint64_t suffix = 0;
   if (live) {
-    mirror.address = controller_->group(group).address.value;
-    for (auto& u : p4rt::compile_install(*controller_, group)) {
-      if (u.kind == p4rt::UpdateKind::kHypervisorFlowAdd) {
-        const auto host = u.host;
-        flows.emplace(host, std::move(u));
-      } else {
-        const std::pair key{static_cast<std::uint8_t>(u.layer), u.switch_id};
-        srules.emplace(key, std::move(u));
-      }
-    }
+    view.compile(*controller_, group);
+    mirror.address = view.group.value;
+    ContentHash hash;
+    hash.bytes(view.downstream.data(), view.downstream.size());
+    suffix = hash.h;
+  } else {
+    view.flows.clear();
+    view.srules.clear();
   }
-
   const net::Ipv4Address address{mirror.address};
 
-  // Flows: adds/changes, then removals of hosts no longer holding a flow.
-  for (auto& [host, update] : flows) {
-    const auto hash = flow_hash(update);
-    const auto it = mirror.flow_hash.find(host);
-    if (it != mirror.flow_hash.end() && it->second == hash) continue;
-    mirror.flow_hash[host] = hash;
-    index_membership(group, host, true);
-    if (!seed_only) {
-      queue(PendingKey{true, FlowKey{address.value, host}, {}},
-            std::move(update));
-    }
+  // Flows: the view lists them by host.
+  desired_.clear();
+  for (std::uint32_t i = 0; i < view.flows.size(); ++i) {
+    desired_.push_back(
+        {{view.flows[i].host, flow_hash(view, view.flows[i], suffix)}, i});
   }
-  for (auto it = mirror.flow_hash.begin(); it != mirror.flow_hash.end();) {
-    const auto host = it->first;
-    if (flows.contains(host)) {
-      ++it;
-      continue;
-    }
-    it = mirror.flow_hash.erase(it);
-    index_membership(group, host, false);
-    if (!seed_only) {
-      p4rt::Update del;
-      del.kind = p4rt::UpdateKind::kHypervisorFlowDel;
-      del.host = host;
-      del.group = address;
-      queue(PendingKey{true, FlowKey{address.value, host}, {}},
-            std::move(del));
-    }
-  }
+  merge(mirror.flows,
+        [&](std::uint32_t i, bool added) {
+          const auto& flow = view.flows[i];
+          if (added) index_membership(group, flow.host, true);
+          if (!seed_only) {
+            queue({false, address.value, flow.host}, view.flow_update(flow));
+          }
+        },
+        [&](std::uint64_t host) {
+          index_membership(group, static_cast<topo::HostId>(host), false);
+          if (seed_only) return;
+          p4rt::Update del;
+          del.kind = p4rt::UpdateKind::kHypervisorFlowDel;
+          del.host = static_cast<topo::HostId>(host);
+          del.group = address;
+          queue({false, address.value, host}, std::move(del));
+        });
 
-  // S-rules, same shape.
-  for (auto& [key, update] : srules) {
-    const auto hash = bitmap_hash(update.ports);
-    const auto it = mirror.srule_hash.find(key);
-    if (it != mirror.srule_hash.end() && it->second == hash) continue;
-    mirror.srule_hash[key] = hash;
-    if (!seed_only) {
-      queue(PendingKey{false, {}, SRuleKey{address.value, key.first,
-                                           key.second}},
-            std::move(update));
-    }
+  // S-rules: the view lists them in encoding order; sorted by location, the
+  // first rule at a location wins.
+  desired_.clear();
+  for (std::uint32_t i = 0; i < view.srules.size(); ++i) {
+    const auto& srule = view.srules[i];
+    desired_.push_back({{srule_location(srule.layer, srule.switch_id),
+                         bitmap_hash(*srule.ports)},
+                        i});
   }
-  for (auto it = mirror.srule_hash.begin(); it != mirror.srule_hash.end();) {
-    if (srules.contains(it->first)) {
-      ++it;
-      continue;
-    }
-    const auto [layer, switch_id] = it->first;
-    it = mirror.srule_hash.erase(it);
-    if (!seed_only) {
-      p4rt::Update del;
-      del.kind = p4rt::UpdateKind::kSRuleDel;
-      del.layer = static_cast<topo::Layer>(layer);
-      del.switch_id = switch_id;
-      del.group = address;
-      queue(PendingKey{false, {}, SRuleKey{address.value, layer, switch_id}},
-            std::move(del));
-    }
-  }
+  std::stable_sort(desired_.begin(), desired_.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first.location < b.first.location;
+                   });
+  merge(mirror.srules,
+        [&](std::uint32_t i, bool) {
+          const auto& srule = view.srules[i];
+          if (seed_only) return;
+          queue({true, address.value,
+                 srule_location(srule.layer, srule.switch_id)},
+                view.srule_update(srule));
+        },
+        [&](std::uint64_t location) {
+          if (seed_only) return;
+          p4rt::Update del;
+          del.kind = p4rt::UpdateKind::kSRuleDel;
+          del.layer = static_cast<topo::Layer>(location >> 32);
+          del.switch_id = static_cast<std::uint32_t>(location);
+          del.group = address;
+          queue({true, address.value, location}, std::move(del));
+        });
 
-  if (!live && mirror.flow_hash.empty() && mirror.srule_hash.empty()) {
-    mirror_.erase(group);
+  if (!live && mirror.flows.empty() && mirror.srules.empty()) {
+    mirror = GroupMirror{};
   }
   return stats_.updates_coalesced + pending_.size() - queued_before;
 }
 
-void ControlPlane::queue(PendingKey key, p4rt::Update update) {
-  if (tracer_ != nullptr && event_ctx_.trace_id != 0) {
-    // Attribute the pending rule to the event that (last) produced it.
-    pending_ctx_.insert_or_assign(key, event_ctx_);
+template <typename Changed, typename Gone>
+void ControlPlane::merge(std::vector<RuleHash>& held, Changed&& changed,
+                         Gone&& gone) {
+  merged_.clear();
+  auto h = held.begin();
+  for (const auto& [rule, index] : desired_) {
+    if (!merged_.empty() && merged_.back().location == rule.location) continue;
+    for (; h != held.end() && h->location < rule.location; ++h) {
+      gone(h->location);
+    }
+    merged_.push_back(rule);
+    const bool have = h != held.end() && h->location == rule.location;
+    if (have && (h++)->hash == rule.hash) continue;
+    changed(index, !have);
   }
-  const auto [it, inserted] = pending_.insert_or_assign(std::move(key),
-                                                        std::move(update));
-  (void)it;
-  if (!inserted) {
-    ++stats_.updates_coalesced;
-    ELMO_METRIC(reg.add(stream_metric_ids().coalesced));
+  for (; h != held.end(); ++h) gone(h->location);
+  held.assign(merged_.begin(), merged_.end());
+}
+
+void ControlPlane::queue(const RuleKey& key, p4rt::Update update) {
+  // Attribute the pending rule to the event that (last) produced it.
+  const auto ctx = tracer_ != nullptr ? event_ctx_ : obs::TraceContext{};
+  const auto [it, inserted] = pending_index_.try_emplace(key, pending_.size());
+  if (inserted) {
+    pending_.push_back({key, std::move(update), ctx});
+    return;
   }
+  auto& slot = pending_[it->second];
+  slot.update = std::move(update);
+  if (ctx.trace_id != 0) slot.ctx = ctx;
+  ++stats_.updates_coalesced;
+  ELMO_METRIC(reg.add(stream_metric_ids().coalesced));
 }
 
 void ControlPlane::note_applied(const p4rt::Update& update) {
@@ -439,20 +469,18 @@ std::size_t ControlPlane::flush() {
   std::size_t applied = 0;
   if (!pending_.empty()) {
     const bool traced = tracer_ != nullptr;
+    std::sort(pending_.begin(), pending_.end(),
+              [](const Pending& a, const Pending& b) { return a.key < b.key; });
     std::vector<p4rt::Update> batch;
     std::vector<obs::TraceContext> ctxs;  // aligned with batch when traced
     batch.reserve(pending_.size());
     if (traced) ctxs.reserve(pending_.size());
-    for (auto& [key, update] : pending_) {
-      if (traced) {
-        const auto cit = pending_ctx_.find(key);
-        ctxs.push_back(cit != pending_ctx_.end() ? cit->second
-                                                 : obs::TraceContext{});
-      }
-      batch.push_back(std::move(update));
+    for (auto& p : pending_) {
+      if (traced) ctxs.push_back(p.ctx);
+      batch.push_back(std::move(p.update));
     }
     pending_.clear();
-    pending_ctx_.clear();
+    pending_index_.clear();
 
     obs::TraceContext flush_ctx{};
     if (traced) {
@@ -591,14 +619,18 @@ std::uint64_t fabric_state_digest(const sim::Fabric& fabric) {
 
 void ControlPlane::index_membership(GroupId group, topo::HostId host,
                                     bool present) {
-  if (present) {
-    host_groups_[host].insert(group);
-    return;
+  // Sized at the first tracked flow, so a plane that never tracks a group
+  // holds no per-host index.
+  if (host_groups_.empty()) {
+    host_groups_.resize(fabric_->topology().num_hosts());
   }
-  const auto it = host_groups_.find(host);
-  if (it == host_groups_.end()) return;
-  it->second.erase(group);
-  if (it->second.empty()) host_groups_.erase(it);
+  auto& groups = host_groups_[host];
+  const auto it = std::lower_bound(groups.begin(), groups.end(), group);
+  if (present) {
+    groups.insert(it, group);
+  } else if (it != groups.end() && *it == group) {
+    groups.erase(it);
+  }
 }
 
 }  // namespace elmo::stream

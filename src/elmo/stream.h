@@ -5,12 +5,15 @@
 // the p4rt wire channel into a live sim::Fabric — instead of re-pushing
 // whole-group state per event like compile_install.
 //
-// Delta computation keeps a compact mirror of what the fabric holds: one
-// 64-bit content hash per installed hypervisor flow (group, host) and per
-// installed s-rule (group, layer, physical switch). After each event the
-// affected group's desired state is p4rt::compile_install's full install
-// (one flow per member host, spine s-rules fanned out to every plane),
-// diffed against the mirror; only changed entries become rule updates.
+// Delta computation keeps a compact mirror of what the fabric holds, one
+// flat entry per group: a 64-bit content hash per installed hypervisor flow
+// (by host) and per installed s-rule (by layer and physical switch), each in
+// a sorted vector. After each event the affected group is compiled once into
+// a p4rt::GroupCompile view. A flow hashes as its vni, local VMs, whether it
+// carries a header, the sender's upstream prefix bytes and the hash of the
+// group's shared downstream suffix, which is hashed once per group. The view
+// is merged against the mirror, and only a rule whose hash changed is built
+// into a full rule update (header included).
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
@@ -26,10 +29,10 @@
 #pragma once
 
 #include <chrono>
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "elmo/churn.h"
@@ -104,8 +107,8 @@ class ControlPlane final : public MembershipDriver {
   // MembershipDriver: lets a ChurnSimulator stream through this plane.
   void join(GroupId group, const Member& member) override;
   Member leave(GroupId group, topo::HostId host, std::uint32_t vm) override;
-  // Every member VM hosted on `host` leaves its group (the host died).
-  // Returns the number of memberships evicted.
+  // Every member VM hosted on `host` leaves its group (the host died), group
+  // by group in ascending id. Returns the number of memberships evicted.
   std::size_t host_fail(topo::HostId host);
 
   // Drains pending updates into the fabric through the wire channel.
@@ -123,8 +126,10 @@ class ControlPlane final : public MembershipDriver {
   // full removal if the controller no longer has the group). Use after
   // out-of-band controller mutations, e.g. fail_spine header recomputes.
   void refresh(GroupId group);
-  // Refreshes every tracked group (failure handling touches many groups).
-  // Returns the number of groups whose re-diff queued at least one update.
+  // Refreshes every tracked group (failure handling touches many groups),
+  // in group order, auto-flushing after each group's re-diff so the pending
+  // set stays bounded by the flush threshold plus one group's delta. Returns
+  // the number of groups whose re-diff queued at least one update.
   std::size_t refresh_all();
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
@@ -146,32 +151,56 @@ class ControlPlane final : public MembershipDriver {
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  // Rule location keys; std::map keeps flush order deterministic.
-  using FlowKey = std::pair<std::uint32_t, topo::HostId>;  // (group addr, host)
-  // (group addr, layer, physical switch)
-  using SRuleKey = std::tuple<std::uint32_t, std::uint8_t, std::uint32_t>;
-  struct PendingKey {
-    bool is_flow = true;
-    FlowKey flow{};
-    SRuleKey srule{};
-    bool operator<(const PendingKey& other) const {
-      if (is_flow != other.is_flow) return is_flow;  // flows first
-      if (is_flow) return flow < other.flow;
-      return srule < other.srule;
+  // A rule's location in the fabric. The defaulted order is the flush
+  // order: flows before s-rules, then by group address, then location.
+  struct RuleKey {
+    bool srule = false;
+    std::uint32_t group = 0;  // group IPv4
+    // Within the group: a flow's host, or an s-rule's layer << 32 |
+    // physical switch.
+    std::uint64_t location = 0;
+    auto operator<=>(const RuleKey&) const = default;
+  };
+  struct RuleKeyHash {
+    std::size_t operator()(const RuleKey& k) const noexcept {
+      return (std::uint64_t{k.group} * 0x9e3779b97f4a7c15ull) ^ k.location ^
+             (k.srule ? 1ull << 63 : 0);
     }
   };
-
-  struct GroupMirror {
-    std::uint32_t address = 0;  // group IPv4, captured at first install
-    std::map<topo::HostId, std::uint64_t> flow_hash;
-    std::map<std::pair<std::uint8_t, std::uint32_t>, std::uint64_t> srule_hash;
+  struct Pending {
+    RuleKey key;
+    p4rt::Update update;
+    // The event that (last) produced the update, so flush can attribute
+    // each install to its cause across coalescing; empty when untraced.
+    obs::TraceContext ctx{};
   };
 
-  // Compiles `group`'s desired rules (p4rt::compile_install) and queues the
-  // delta against the mirror; returns the number of updates queued.
-  // `seed_only` populates the mirror without queueing (track_group).
+  // One mirrored rule: its location within the group (as in RuleKey) and
+  // its content hash.
+  struct RuleHash {
+    std::uint64_t location = 0;
+    std::uint64_t hash = 0;
+  };
+  struct GroupMirror {
+    std::uint32_t address = 0;  // group IPv4, captured at first install
+    bool tracked = false;
+    std::vector<RuleHash> flows;   // by host
+    std::vector<RuleHash> srules;  // by (layer, switch)
+  };
+
+  // Compiles `group` once (p4rt::GroupCompile) and queues the delta against
+  // the mirror; returns the number of updates queued. `seed_only` populates
+  // the mirror without queueing (track_group).
   std::size_t diff_group(GroupId group, bool seed_only);
-  void queue(PendingKey key, p4rt::Update update);
+  // Merges desired_ (sorted by location) into `held`, the mirror's entries
+  // of one rule kind: changed(view index, added) for each rule that is new
+  // or whose hash differs, gone(location) for each held rule not desired.
+  template <typename Changed, typename Gone>
+  void merge(std::vector<RuleHash>& held, Changed&& changed, Gone&& gone);
+  // The group's mirror, or nullptr when the group is untracked.
+  const GroupMirror* tracked(GroupId group) const;
+  bool holds_flow(GroupId group, topo::HostId host) const;
+  void queue(const RuleKey& key, p4rt::Update update);
   void note_applied(const p4rt::Update& update);
   void maybe_auto_flush();
   void index_membership(GroupId group, topo::HostId host, bool present);
@@ -190,21 +219,27 @@ class ControlPlane final : public MembershipDriver {
   ControlPlaneStats stats_;
   AppliedUpdates applied_;
 
-  std::unordered_map<GroupId, GroupMirror> mirror_;
-  // Hosts with at least one member VM of a group — drives host_fail.
-  std::unordered_map<topo::HostId, std::unordered_set<GroupId>> host_groups_;
+  std::vector<GroupMirror> mirror_;  // indexed by GroupId
+  // Per host (sized from the topology), the groups it holds a flow of, in
+  // ascending id — drives host_fail.
+  std::vector<std::vector<GroupId>> host_groups_;
+  // diff_group's buffers, reused across calls: the compile view, the
+  // desired rules of one kind (hash, index into the view), and the merge.
+  p4rt::GroupCompile compiled_;
+  std::vector<std::pair<RuleHash, std::uint32_t>> desired_;
+  std::vector<RuleHash> merged_;
 
-  std::map<PendingKey, p4rt::Update> pending_;
+  // Pending updates, one per rule key in queue order; pending_index_ maps a
+  // key to its slot. flush sorts them into RuleKey order.
+  std::vector<Pending> pending_;
+  std::unordered_map<RuleKey, std::size_t, RuleKeyHash> pending_index_;
   // Ingest timestamps of events awaiting their flush.
   std::vector<std::chrono::steady_clock::time_point> pending_event_times_;
 
-  // Tracing state: the in-flight event's root context (stamped onto every
-  // update the event queues) and the per-pending-rule contexts, aligned with
-  // pending_ so flush can attribute each install to its causing event even
-  // across coalescing (newest event wins, like the update itself).
+  // Tracing state: the in-flight event's root context, stamped onto every
+  // update the event queues.
   obs::Tracer* tracer_ = nullptr;
   obs::TraceContext event_ctx_{};
-  std::map<PendingKey, obs::TraceContext> pending_ctx_;
 };
 
 // Canonical 64-bit digest of every installed hypervisor flow and s-rule in

@@ -1,7 +1,7 @@
 #include "p4rt/runtime.h"
 
+#include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 namespace elmo::p4rt {
@@ -141,63 +141,98 @@ FrameChoice choose_frame(const Update& u) {
 
 }  // namespace
 
-std::vector<Update> compile_install(const Controller& controller,
-                                    elmo::GroupId group) {
+void GroupCompile::compile(const Controller& controller,
+                           elmo::GroupId group) {
   const auto& g = controller.group(group);
-  std::vector<Update> updates;
+  const auto& codec = controller.encoder().codec();
+  this->group = g.address;
+  vni = g.tenant;
+  downstream.clear();
+  flows.clear();
+  vms.clear();
+  prefixes.clear();
+  srules.clear();
 
-  // The spine and leaf p-rules are the same for every sender: serialized at
-  // the first sender (never empty after: END is a byte), then appended to
-  // each sender's upstream sections.
-  std::vector<std::uint8_t> downstream;
-
-  // One flow per host, merged across co-located members (mirrors
-  // Fabric::install_group): a per-member update stream would overwrite the
-  // host's flow on apply, dropping the earlier member's local VM (and its
-  // header template) whenever two VMs of the group share a host.
-  std::map<topo::HostId, Update> flows;
-  for (const auto& member : g.members) {
-    const auto [it, inserted] = flows.try_emplace(member.host);
-    auto& u = it->second;
-    if (inserted) {
-      u.kind = UpdateKind::kHypervisorFlowAdd;
-      u.host = member.host;
-      u.group = g.address;
-      u.vni = g.tenant;
+  // Members by host, member order kept within a host.
+  by_host_.clear();
+  for (std::uint32_t i = 0; i < g.members.size(); ++i) {
+    by_host_.emplace_back(g.members[i].host, i);
+  }
+  std::sort(by_host_.begin(), by_host_.end());
+  for (std::size_t i = 0; i < by_host_.size();) {
+    Flow flow;
+    flow.host = by_host_[i].first;
+    flow.vms_begin = static_cast<std::uint32_t>(vms.size());
+    for (; i < by_host_.size() && by_host_[i].first == flow.host; ++i) {
+      const auto& member = g.members[by_host_[i].second];
+      if (can_receive(member.role)) vms.push_back(member.vm);
+      flow.has_header = flow.has_header || can_send(member.role);
     }
-    if (can_receive(member.role)) u.local_vms.push_back(member.vm);
-    if (can_send(member.role) && u.elmo_header.empty()) {
+    flow.vms_end = static_cast<std::uint32_t>(vms.size());
+    flow.prefix_begin = static_cast<std::uint32_t>(prefixes.size());
+    if (flow.has_header) {
+      // Never empty once serialized: END is a byte.
       if (downstream.empty()) {
-        downstream =
-            controller.encoder().codec().serialize_downstream(g.encoding);
+        downstream = codec.serialize_downstream(g.encoding);
       }
-      u.elmo_header = controller.header_for(group, member.host, downstream);
+      const auto route =
+          g.tree->sender_route(flow.host, controller.failures());
+      const auto bytes = codec.serialize(route.encoding,
+                                         std::span<const std::uint8_t>{});
+      prefixes.insert(prefixes.end(), bytes.begin(), bytes.end());
     }
+    flow.prefix_end = static_cast<std::uint32_t>(prefixes.size());
+    flows.push_back(flow);
   }
-  for (auto& [host, u] : flows) {
-    (void)host;
-    updates.push_back(std::move(u));
-  }
+
   for (const auto& [leaf, bitmap] : g.encoding.leaf.s_rules) {
-    Update u;
-    u.kind = UpdateKind::kSRuleAdd;
-    u.layer = topo::Layer::kLeaf;
-    u.switch_id = leaf;
-    u.group = g.address;
-    u.ports = bitmap;
-    updates.push_back(std::move(u));
+    srules.push_back({topo::Layer::kLeaf, leaf, &bitmap});
   }
   const auto& t = controller.topology();
   for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
     for (std::size_t plane = 0; plane < t.params().spines_per_pod; ++plane) {
-      Update u;
-      u.kind = UpdateKind::kSRuleAdd;
-      u.layer = topo::Layer::kSpine;
-      u.switch_id = t.spine_at(pod, plane);
-      u.group = g.address;
-      u.ports = bitmap;
-      updates.push_back(std::move(u));
+      srules.push_back({topo::Layer::kSpine, t.spine_at(pod, plane), &bitmap});
     }
+  }
+}
+
+Update GroupCompile::flow_update(const Flow& flow) const {
+  Update u;
+  u.kind = UpdateKind::kHypervisorFlowAdd;
+  u.host = flow.host;
+  u.group = group;
+  u.vni = vni;
+  const auto local = local_vms(flow);
+  u.local_vms.assign(local.begin(), local.end());
+  if (flow.has_header) {
+    const auto head = prefix(flow);
+    u.elmo_header.reserve(head.size() + downstream.size());
+    u.elmo_header.assign(head.begin(), head.end());
+    u.elmo_header.insert(u.elmo_header.end(), downstream.begin(),
+                         downstream.end());
+  }
+  return u;
+}
+
+Update GroupCompile::srule_update(const SRule& srule) const {
+  Update u;
+  u.kind = UpdateKind::kSRuleAdd;
+  u.layer = srule.layer;
+  u.switch_id = srule.switch_id;
+  u.group = group;
+  u.ports = *srule.ports;
+  return u;
+}
+
+std::vector<Update> compile_install(const Controller& controller,
+                                    elmo::GroupId group) {
+  GroupCompile view;
+  view.compile(controller, group);
+  std::vector<Update> updates;
+  updates.reserve(view.flows.size() + view.srules.size());
+  for (const auto& flow : view.flows) updates.push_back(view.flow_update(flow));
+  for (const auto& srule : view.srules) {
+    updates.push_back(view.srule_update(srule));
   }
   return updates;
 }

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "elmo/controller.h"
@@ -69,16 +70,67 @@ struct Update {
   bool operator==(const Update&) const = default;
 };
 
+// One group's install in the parts its rules are built from. The spine and
+// leaf p-rules are the same for every sender, so the downstream suffix is
+// serialized once; per member host the view keeps the flow's local VMs and,
+// when the host runs a sender, that sender's upstream prefix
+// (MulticastTree::sender_route serialized with an empty suffix). The prefix
+// is byte-aligned, so a sender's header is its prefix followed by
+// `downstream`. compile_install builds its updates from this view;
+// stream::ControlPlane hashes the parts and builds an update only for a rule
+// whose hash changed. S-rule bitmaps point into the controller's encoding,
+// so a view is valid until its group is next mutated.
+class GroupCompile {
+ public:
+  struct Flow {
+    topo::HostId host = 0;
+    bool has_header = false;
+    std::uint32_t vms_begin = 0, vms_end = 0;        // into vms
+    std::uint32_t prefix_begin = 0, prefix_end = 0;  // into prefixes
+  };
+  struct SRule {
+    topo::Layer layer = topo::Layer::kLeaf;
+    std::uint32_t switch_id = 0;
+    const net::PortBitmap* ports = nullptr;
+  };
+
+  // Refills the view with `group`'s install, keeping every buffer's
+  // capacity for the next call.
+  void compile(const Controller& controller, elmo::GroupId group);
+
+  std::span<const std::uint32_t> local_vms(const Flow& flow) const {
+    return std::span{vms}.subspan(flow.vms_begin,
+                                  flow.vms_end - flow.vms_begin);
+  }
+  std::span<const std::uint8_t> prefix(const Flow& flow) const {
+    return std::span{prefixes}.subspan(flow.prefix_begin,
+                                       flow.prefix_end - flow.prefix_begin);
+  }
+  // The HYPERVISOR_FLOW_ADD / SRULE_ADD the view describes, full header
+  // included.
+  Update flow_update(const Flow& flow) const;
+  Update srule_update(const SRule& srule) const;
+
+  net::Ipv4Address group;
+  std::uint32_t vni = 0;
+  std::vector<std::uint8_t> downstream;  // empty when no member sends
+  std::vector<Flow> flows;               // one per member host, by host
+  std::vector<std::uint32_t> vms;        // local VMs, member order per host
+  std::vector<std::uint8_t> prefixes;    // upstream prefixes, by host
+  // Leaf s-rules in encoding order, then each spine s-rule on every plane.
+  std::vector<SRule> srules;
+
+ private:
+  std::vector<std::pair<topo::HostId, std::uint32_t>> by_host_;  // scratch
+};
+
 // Compiles the full installation of `group` into an update batch (what the
-// controller would push when the group is created or refreshed). Flows are
-// merged per host across co-located members — one HYPERVISOR_FLOW_ADD per
-// distinct member host, exactly mirroring Fabric::install_group (a
-// per-member update stream would overwrite the host's flow and drop the
-// earlier members' local VMs). stream::ControlPlane diffs this output
-// instead of re-deriving it; Fabric::install_group keeps its own copy as the
-// independent reference the equivalence tests compare against. The group's
-// shared downstream header suffix is serialized once per call, not once per
-// sender.
+// controller would push when the group is created or refreshed): one
+// HYPERVISOR_FLOW_ADD per distinct member host, merged across co-located
+// members exactly as Fabric::install_group does (a per-member update stream
+// would overwrite the host's flow and drop the earlier members' local VMs),
+// then the s-rules. Fabric::install_group keeps its own copy as the
+// independent reference the equivalence tests compare against.
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group);
 std::vector<Update> compile_uninstall(const Controller& controller,

@@ -98,6 +98,8 @@ class Runner {
         if (failed_) return finish();
         sample_window();
       }
+      settle_and_diff("end of run");
+      if (failed_) return finish();
     } catch (const std::exception& ex) {
       fail(std::string{"exception: "} + ex.what());
       return finish();
@@ -158,10 +160,12 @@ class Runner {
       fabric_.install_group(controller_, ids_[gi]);
     }
     if (options_.delta_installs) {
-      // Threshold 1: every event's delta reaches the wire before the next
-      // oracle diff, so a divergence is pinned to the event that caused it.
+      // The seed picks the flush threshold, so the campaign covers per-event
+      // installs (1, where a divergence is pinned to the event that caused
+      // it) and batches that coalesce several events' updates (8, 64).
+      constexpr std::size_t kFlushThresholds[] = {1, 8, 64};
       plane_.emplace(controller_, fabric_,
-                     stream::ControlPlaneOptions{/*flush_threshold=*/1});
+                     stream::ControlPlaneOptions{kFlushThresholds[sc_.seed % 3]});
       if (tracer_ != nullptr) plane_->set_tracer(tracer_);
       for (const auto id : ids_) plane_->track_group(id);
     }
@@ -185,8 +189,6 @@ class Runner {
             applied_ = true;
           } else {
             plane_->join(id, ev.member);
-            plane_->flush();
-            apply_fabric_mutation();
           }
         } else {
           if (!stale) fabric_.uninstall_group(controller_, id);
@@ -201,7 +203,7 @@ class Runner {
         oracle_.join(ev.group_index, ev.member);
         diff_membership(at);
         if (failed_) return;
-        if (!stale) diff_fabric_state(at);
+        if (!stale) diff_settled_fabric_state(at);
         break;
       }
       case EventKind::kLeave: {
@@ -236,16 +238,13 @@ class Runner {
         }
         if (stale) {
           applied_ = true;
-        } else if (plane_.has_value()) {
-          plane_->flush();
-          apply_fabric_mutation();
-        } else {
+        } else if (!plane_.has_value()) {
           fabric_.install_group(controller_, id);
           apply_fabric_mutation();
         }
         diff_membership(at);
         if (failed_) return;
-        if (!stale) diff_fabric_state(at);
+        if (!stale) diff_settled_fabric_state(at);
         break;
       }
       case EventKind::kFailSpine:
@@ -273,6 +272,8 @@ class Runner {
         resync_headers();
         break;
       case EventKind::kSend:
+        settle_and_diff(at);
+        if (failed_) return;
         check_send(index, ev.group_index, ev.sender, at);
         break;
       case EventKind::kHostFail: {
@@ -290,8 +291,6 @@ class Runner {
         }
         if (plane_.has_value() && !stale) {
           plane_->host_fail(host);
-          plane_->flush();
-          apply_fabric_mutation();
         } else {
           for (const auto& [gi, members] : affected) {
             const auto id = ids_.at(gi);
@@ -317,7 +316,7 @@ class Runner {
         }
         diff_membership(at);
         if (failed_) return;
-        if (!stale) diff_fabric_state(at);
+        if (!stale) diff_settled_fabric_state(at);
         break;
       }
     }
@@ -330,21 +329,49 @@ class Runner {
   void resync_headers() {
     if (plane_.has_value()) {
       plane_->refresh_all();
-      plane_->flush();
     } else {
       for (std::size_t gi = 0; gi < ids_.size(); ++gi) {
         fabric_.install_group(controller_, ids_[gi]);
       }
     }
-    apply_fabric_mutation();
+    settle();
     diff_fabric_state("after failure resync");
   }
 
-  // Continuous churn oracle (delta mode only): after every membership or
-  // failure event, the live fabric's installed state must digest-equal a
-  // fresh batch install of the controller's current encodings. Catches
-  // stale rules, missed deltas, and leaked state the send-level differ
-  // would only notice if a later send happened to traverse them.
+  // Delta mode: drains the plane's pending updates into the fabric. Either
+  // mode re-seeds the fabric-side fault, so the next check sees it.
+  void settle() {
+    if (plane_.has_value()) plane_->flush();
+    apply_fabric_mutation();
+  }
+
+  // Delta mode: every send check and every state digest reads a settled
+  // fabric, so an oracle verdict never blames updates still waiting for
+  // their flush. Batch mode installs and re-seeds the fault at each event.
+  void settle_and_diff(const std::string& at) {
+    if (!plane_.has_value()) return;
+    settle();
+    diff_fabric_state(at);
+  }
+
+  // After a membership event: batch mode installed and re-seeded the fault
+  // already. Delta mode digests only once the plane holds nothing pending —
+  // after every event at flush threshold 1, and at larger thresholds after
+  // the events that auto-flushed or changed no rule — so later events can
+  // still coalesce with this one's updates.
+  void diff_settled_fabric_state(const std::string& at) {
+    if (plane_.has_value()) {
+      if (plane_->pending() != 0) return;
+      settle();
+    }
+    diff_fabric_state(at);
+  }
+
+  // Continuous churn oracle (delta mode only): at every settled point, the
+  // live fabric's installed state must digest-equal a fresh batch install
+  // of the controller's current encodings. Catches stale rules, missed
+  // deltas, and leaked state the send-level differ would only notice if a
+  // later send happened to traverse them.
   void diff_fabric_state(const std::string& at) {
     if (!options_.delta_installs || failed_) return;
     sim::Fabric reference{topo_};

@@ -123,11 +123,14 @@ struct RunOptions {
   // (elmo::stream::ControlPlane): each join/leave is re-encoded
   // incrementally and installed as coalesced rule DELTAS over the p4rt wire
   // channel, instead of uninstall_group + install_group of the whole group
-  // per event. After every membership or failure event the installed fabric
-  // state is additionally digest-diffed against a freshly batch-installed
-  // reference fabric — the continuous churn oracle: streamed deltas must
-  // leave the fabric byte-identical to a from-scratch install at every
-  // step, not just at the end of the run.
+  // per event. The scenario seed picks the plane's flush threshold from
+  // {1, 8, 64}. The installed fabric state is additionally digest-diffed
+  // against a freshly batch-installed reference fabric — the continuous
+  // churn oracle — at every settled point: after each membership event that
+  // leaves nothing pending (every event at threshold 1), and after a flush
+  // before every send, failure resync and the end of the run. Streamed
+  // deltas must leave the fabric byte-identical to a from-scratch install
+  // throughout, not just at the end.
   bool delta_installs = false;
 };
 

@@ -41,9 +41,10 @@ TEST(FuzzPipeline, CleanSeedsPass) {
 
 // Delta mode: the same seeds, with heavy appended churn, routed through the
 // streaming control plane (incremental re-encode + coalesced delta installs
-// over the wire channel). The runner digest-diffs the fabric against a
-// fresh batch install after EVERY event, so a pass means the streamed
-// deltas never diverged from from-scratch state at any point in the run.
+// over the wire channel, flush threshold 1, 8 or 64 by seed). The runner
+// digest-diffs the fabric against a fresh batch install at every settled
+// point, so a pass means the streamed deltas never diverged from
+// from-scratch state at any point the fabric was checked.
 TEST(FuzzPipeline, DeltaInstallSeedsPassWithContinuousStateDiff) {
   RunOptions options;
   options.delta_installs = true;

@@ -33,9 +33,10 @@
 //   --churn_events=N append N extra churn events (join/leave-biased, with
 //                    periodic sends) to every scenario and run it through
 //                    the STREAMING control plane: incremental re-encode +
-//                    coalesced delta installs over the p4rt wire channel,
+//                    coalesced delta installs over the p4rt wire channel
+//                    (flush threshold 1, 8 or 64, picked by the seed),
 //                    with the installed fabric state digest-diffed against
-//                    a fresh batch install after every event (default 0)
+//                    a fresh batch install at every settled point (default 0)
 //   --delta=1        delta installs + continuous state diff without extra
 //                    churn events (implied by --churn_events)
 //
