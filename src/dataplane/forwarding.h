@@ -26,7 +26,7 @@
 #include "net/packet_view.h"
 
 namespace elmo::obs {
-class ProvenanceLog;
+struct HopDecision;
 }
 
 namespace elmo::dp {
@@ -69,18 +69,13 @@ class ForwardingElement {
 
   // Processes one packet and appends its emissions to `arena`, returning the
   // span it appended. The span is valid until the arena is next mutated.
+  // When `decision` is non-null the element fills it with the decision it
+  // took (the walk passes its provenance log's open hop, DESIGN.md §10); a
+  // null `decision` costs one pointer test.
   virtual std::span<Emission> process(const net::PacketView& packet,
                                       std::size_t ingress_port,
-                                      EmissionArena& arena) = 0;
-
-  // Optional decision-provenance log (nullptr detaches). Not owned; must
-  // outlive the packets it observes. A detached element pays one pointer
-  // test per process() call (DESIGN.md §10).
-  void set_provenance(obs::ProvenanceLog* log) noexcept { prov_ = log; }
-  obs::ProvenanceLog* provenance() const noexcept { return prov_; }
-
- protected:
-  obs::ProvenanceLog* prov_ = nullptr;
+                                      EmissionArena& arena,
+                                      obs::HopDecision* decision = nullptr) = 0;
 };
 
 }  // namespace elmo::dp

@@ -61,7 +61,8 @@ std::optional<net::Packet> HypervisorSwitch::encapsulate(
 
 std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
                                               std::size_t /*ingress_port*/,
-                                              EmissionArena& arena) {
+                                              EmissionArena& arena,
+                                              obs::HopDecision* decision) {
   const auto mark = arena.mark();
   ++stats_.received;
   stats_.bytes_received += packet.size();
@@ -71,11 +72,7 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   const auto it = flows_.find(ip.dst.value);
   if (it == flows_.end() || it->second.local_vms.empty()) {
     ++stats_.discarded;
-    if (prov_ != nullptr) {
-      obs::HopDecision dec;
-      dec.rule = obs::RuleClass::kHostDiscard;
-      prov_->record_decision(dec);
-    }
+    if (decision != nullptr) decision->rule = obs::RuleClass::kHostDiscard;
     return arena.since(mark);
   }
   // Elmo-capable leaves strip all p-rules at egress; behind a legacy leaf
@@ -96,28 +93,25 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
     stats_.delivered_bytes += payload.size();
   }
   const auto out = arena.since(mark);
-  if (prov_ != nullptr) {
-    obs::HopDecision dec;
-    dec.rule = obs::RuleClass::kHostDeliver;
-    dec.vm_deliveries = static_cast<std::uint32_t>(out.size());
-    dec.popped_bytes = net::kOuterHeaderBytes + elmo_bytes;
-    prov_->record_decision(dec);
+  if (decision != nullptr) {
+    decision->rule = obs::RuleClass::kHostDeliver;
+    decision->vm_deliveries = static_cast<std::uint32_t>(out.size());
+    decision->popped_bytes = net::kOuterHeaderBytes + elmo_bytes;
   }
   return out;
 }
 
 std::vector<HypervisorSwitch::Delivery> HypervisorSwitch::receive(
     const net::Packet& packet) {
-  compat_arena_.clear();
+  EmissionArena arena;
   const net::PacketView view{packet.bytes()};
-  const auto emissions = process(view, kNetworkPort, compat_arena_);
+  const auto emissions = process(view, kNetworkPort, arena);
   std::vector<Delivery> deliveries;
   deliveries.reserve(emissions.size());
   for (const auto& e : emissions) {
     deliveries.push_back(Delivery{static_cast<std::uint32_t>(e.out_port),
                                   e.packet.size()});
   }
-  compat_arena_.clear();
   return deliveries;
 }
 

@@ -51,6 +51,17 @@ struct HypervisorStats {
     unicast_fallback += o.unicast_fallback;
     return *this;
   }
+  HypervisorStats& operator-=(const HypervisorStats& o) noexcept {
+    sent -= o.sent;
+    bytes_sent -= o.bytes_sent;
+    received -= o.received;
+    bytes_received -= o.bytes_received;
+    delivered_to_vms -= o.delivered_to_vms;
+    delivered_bytes -= o.delivered_bytes;
+    discarded -= o.discarded;
+    unicast_fallback -= o.unicast_fallback;
+    return *this;
+  }
 };
 
 class HypervisorSwitch : public ForwardingElement {
@@ -93,8 +104,8 @@ class HypervisorSwitch : public ForwardingElement {
   // view per local member VM, out_port = VM index. `ingress_port` is
   // accepted for interface uniformity (always treated as kNetworkPort).
   std::span<Emission> process(const net::PacketView& packet,
-                              std::size_t ingress_port,
-                              EmissionArena& arena) override;
+                              std::size_t ingress_port, EmissionArena& arena,
+                              obs::HopDecision* decision = nullptr) override;
 
   // Convenience wrapper over process() for unit tests and tools.
   struct Delivery {
@@ -112,7 +123,6 @@ class HypervisorSwitch : public ForwardingElement {
   topo::HostId host_;
   std::unordered_map<std::uint32_t, GroupFlow> flows_;
   HypervisorStats stats_;
-  EmissionArena compat_arena_;  // scratch for the receive() wrapper
 };
 
 }  // namespace elmo::dp

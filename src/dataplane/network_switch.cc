@@ -116,20 +116,21 @@ net::PacketView NetworkSwitch::strip_for_host(const net::PacketView& packet,
 
 std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
                                            std::size_t /*ingress_port*/,
-                                           EmissionArena& arena) {
+                                           EmissionArena& arena,
+                                           obs::HopDecision* decision) {
   const auto mark = arena.mark();
   ++stats_.packets_in;
   stats_.bytes_in += packet.size();
   const std::uint64_t popped_before = stats_.header_pop_bytes;
 
-  // Decision provenance (DESIGN.md §10): one record per process() call,
-  // written only when a sink is attached — the detached cost is this null
-  // test. `bitmap` is the rule as matched (before masking); the egress set
-  // is reconstructed from the emissions (after multipath masking).
+  // Decision provenance (DESIGN.md §10): filled only when the walk passes a
+  // hop to fill — the detached cost is this null test. `bitmap` is the rule
+  // as matched (before masking); the egress set is reconstructed from the
+  // emissions (after multipath masking).
   auto record = [&](obs::RuleClass cls, const net::PortBitmap* bitmap,
                     const elmo::UpstreamRule* up, bool shared, int index) {
-    if (prov_ == nullptr) return;
-    obs::HopDecision dec;
+    if (decision == nullptr) return;
+    auto& dec = *decision;
     dec.rule = cls;
     dec.legacy = legacy_;
     dec.prule_index = index;
@@ -146,7 +147,6 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
       dec.egress = net::PortBitmap{down_ports_ + uplink_load_.size()};
       for (const auto& e : out) dec.egress.set(e.out_port);
     }
-    prov_->record_decision(dec);
   };
 
   if (down_) {
@@ -158,7 +158,8 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
   const auto pr = parse(packet);
 
   // A copy with every section before `first_needed` popped: a hole behind
-  // the outer header, no byte copy.
+  // the outer header, no byte copy. Cut (and its pop counted) only for a
+  // copy that is emitted.
   auto popped = [&](elmo::SectionTag first_needed) {
     net::PacketView copy = packet;
     if (const auto drop = pr.sections.pop_offset(first_needed); drop > 0) {
@@ -169,20 +170,18 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     return copy;
   };
   auto emit_down = [&](const net::PortBitmap& bitmap) {
+    if (!bitmap.any()) return;
     if (layer_ == topo::Layer::kLeaf) {
       // One stripped template, shared (refcounted) by every host copy; with
       // no Elmo header the incoming view already is that template.
       net::PacketView host_copy = packet;
-      bool strip = pr.sections.length() > 0;
-      bitmap.for_each_set([&](std::size_t port) {
-        if (strip) {
-          host_copy = strip_for_host(packet, pr.sections.length());
-          ++stats_.header_pops;
-          stats_.header_pop_bytes += pr.sections.length();
-          strip = false;
-        }
-        arena.emit(port, host_copy);
-      });
+      if (pr.sections.length() > 0) {
+        host_copy = strip_for_host(packet, pr.sections.length());
+        ++stats_.header_pops;
+        stats_.header_pop_bytes += pr.sections.length();
+      }
+      bitmap.for_each_set(
+          [&](std::size_t port) { arena.emit(port, host_copy); });
       return;
     }
     const auto down_copy = popped(layer_ == topo::Layer::kCore
@@ -202,19 +201,22 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     chosen = &pr.upstream->down;
     chosen_up = &*pr.upstream;
     emit_down(pr.upstream->down);
-    // Upward copies start at the *next layer's* upstream/core section.
-    const auto up_copy = popped(layer_ == topo::Layer::kLeaf
-                                    ? elmo::SectionTag::kUSpine
-                                    : elmo::SectionTag::kCore);
-    if (pr.upstream->multipath) {
-      const auto pick = pick_uplink(flow_hash(pr.outer_src, pr.outer_dst));
-      uplink_load_[pick] += packet.size();
-      arena.emit(down_ports_ + pick, up_copy);
-    } else {
-      pr.upstream->up.for_each_set([&](std::size_t port) {
-        if (port < uplink_load_.size()) uplink_load_[port] += packet.size();
-        arena.emit(down_ports_ + port, up_copy);
-      });
+    // Upward copies start at the *next layer's* upstream/core section; a
+    // rule with no uplink and multipath off sends none.
+    if (pr.upstream->multipath || pr.upstream->up.any()) {
+      const auto up_copy = popped(layer_ == topo::Layer::kLeaf
+                                      ? elmo::SectionTag::kUSpine
+                                      : elmo::SectionTag::kCore);
+      if (pr.upstream->multipath) {
+        const auto pick = pick_uplink(flow_hash(pr.outer_src, pr.outer_dst));
+        uplink_load_[pick] += packet.size();
+        arena.emit(down_ports_ + pick, up_copy);
+      } else {
+        pr.upstream->up.for_each_set([&](std::size_t port) {
+          if (port < uplink_load_.size()) uplink_load_[port] += packet.size();
+          arena.emit(down_ports_ + port, up_copy);
+        });
+      }
     }
   } else if (pr.match.bitmap) {
     ++stats_.prule_matches;
@@ -244,15 +246,14 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
 }
 
 std::vector<OutputCopy> NetworkSwitch::process(const net::Packet& packet) {
-  compat_arena_.clear();
+  EmissionArena arena;
   const net::PacketView view{packet.bytes()};
-  const auto emissions = process(view, 0, compat_arena_);
+  const auto emissions = process(view, 0, arena);
   std::vector<OutputCopy> out;
   out.reserve(emissions.size());
   for (auto& e : emissions) {
     out.push_back(OutputCopy{e.out_port, e.packet.materialize()});
   }
-  compat_arena_.clear();
   return out;
 }
 

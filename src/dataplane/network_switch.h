@@ -80,6 +80,20 @@ struct SwitchStats {
     header_pop_bytes += o.header_pop_bytes;
     return *this;
   }
+  SwitchStats& operator-=(const SwitchStats& o) noexcept {
+    packets_in -= o.packets_in;
+    bytes_in -= o.bytes_in;
+    copies_out -= o.copies_out;
+    bytes_out -= o.bytes_out;
+    prule_matches -= o.prule_matches;
+    upstream_matches -= o.upstream_matches;
+    srule_matches -= o.srule_matches;
+    default_matches -= o.default_matches;
+    drops -= o.drops;
+    header_pops -= o.header_pops;
+    header_pop_bytes -= o.header_pop_bytes;
+    return *this;
+  }
 };
 
 class NetworkSwitch : public ForwardingElement {
@@ -134,8 +148,8 @@ class NetworkSwitch : public ForwardingElement {
   // Full pipeline for one received packet: emissions are appended to `arena`
   // as refcounted views over the incoming buffer (ForwardingElement).
   std::span<Emission> process(const net::PacketView& packet,
-                              std::size_t ingress_port,
-                              EmissionArena& arena) override;
+                              std::size_t ingress_port, EmissionArena& arena,
+                              obs::HopDecision* decision = nullptr) override;
 
   // Convenience wrapper for unit tests and tools: runs the pipeline on a
   // standalone Packet and materializes each emission into its own Packet.
@@ -176,7 +190,6 @@ class NetworkSwitch : public ForwardingElement {
   bool down_ = false;
   MultipathMode multipath_mode_ = MultipathMode::kEcmp;
   std::vector<std::uint64_t> uplink_load_;  // one per uplink
-  EmissionArena compat_arena_;  // scratch for the Packet wrapper
 };
 
 }  // namespace elmo::dp

@@ -58,41 +58,25 @@ std::size_t add_hop(SendTrace& trace, topo::Layer layer, std::uint32_t node,
   return index;
 }
 
-void add_lost(SendTrace& trace, topo::Layer layer, std::uint32_t node,
-              std::size_t parent) {
-  trace.hops[add_hop(trace, layer, node, parent, 0)].lost = true;
-}
-
 }  // namespace
 
 std::size_t ProvenanceLog::begin_send(std::uint32_t group,
                                       std::uint32_t src_host,
                                       std::size_t bytes) {
   sends_.push_back(make_trace(group, src_host, bytes));
-  open_ = kNoProvParent;
   return 0;
 }
 
 std::size_t ProvenanceLog::begin_hop(topo::Layer layer, std::uint32_t node,
                                      std::size_t parent,
                                      std::size_t bytes_in) {
-  open_ = add_hop(sends_.back(), layer, node, parent, bytes_in);
-  return open_;
+  return add_hop(sends_.back(), layer, node, parent, bytes_in);
 }
 
 void ProvenanceLog::lost_copy(topo::Layer layer, std::uint32_t node,
-                              std::size_t parent) {
-  add_lost(sends_.back(), layer, node, parent);
-}
-
-void ProvenanceLog::record_decision(const HopDecision& decision) {
-  if (sends_.empty() || open_ == kNoProvParent) return;
-  sends_.back().hops[open_].decision = decision;
-}
-
-void ProvenanceLog::clear() {
-  sends_.clear();
-  open_ = kNoProvParent;
+                              std::size_t parent, std::size_t bytes) {
+  auto& trace = sends_.back();
+  trace.hops[add_hop(trace, layer, node, parent, bytes)].lost = true;
 }
 
 namespace {
@@ -111,22 +95,25 @@ std::string node_name(topo::Layer layer, std::uint32_t node) {
   return "?";
 }
 
-void render_hop(const SendTrace& trace, std::size_t index, std::size_t depth,
+void render_hop(const SendTrace& trace, std::span<const char* const> notes,
+                std::size_t index, std::size_t depth,
                 std::ostringstream& out) {
   const auto& hop = trace.hops[index];
   out << std::string(2 * depth, ' ') << node_name(hop.layer, hop.node);
   if (hop.lost) {
-    out << "  [lost in flight]\n";
-    return;
-  }
-  if (index == 0) {
-    out << "  [source, " << hop.bytes_in << "B on wire]\n";
+    out << "  [lost in flight]";
+  } else if (index == 0) {
+    out << "  [source, " << hop.bytes_in << "B on wire]";
   } else {
     out << "  [" << describe(hop.decision) << ", " << hop.bytes_in
-        << "B in]\n";
+        << "B in]";
   }
+  if (index < notes.size() && notes[index] != nullptr) {
+    out << "  " << notes[index];
+  }
+  out << "\n";
   for (const auto child : hop.children) {
-    render_hop(trace, child, depth + 1, out);
+    render_hop(trace, notes, child, depth + 1, out);
   }
 }
 
@@ -160,12 +147,12 @@ std::string describe(const HopDecision& decision) {
   return out.str();
 }
 
-std::string render_trace(const SendTrace& trace) {
+std::string render_trace(const SendTrace& trace,
+                         std::span<const char* const> notes) {
   std::ostringstream out;
   out << "send group=" << trace.group << " from host" << trace.src_host
-      << " (" << (trace.hops.empty() ? 0 : trace.hops.size() - 1)
-      << " hops)\n";
-  if (!trace.hops.empty()) render_hop(trace, 0, 0, out);
+      << "\n";
+  if (!trace.hops.empty()) render_hop(trace, notes, 0, 0, out);
   return out.str();
 }
 

@@ -11,16 +11,17 @@
 // oracle to attribute every delivered copy (and every wasted one) to the
 // encoding decision that caused it.
 //
-// Attachment is strictly opt-in and zero-cost when detached: a forwarding
-// element with no log pays one null-pointer test per process() call, and a
-// fabric with no log pays one per work item; no bitmap is copied and no
-// allocation happens unless a log is listening. The walk is one FIFO drain
-// per send, so the log keeps one "open hop" cursor that the data-plane
-// decision callback writes through.
+// The fabric walk owns the log: it opens one hop per work item and hands
+// that hop's HopDecision to the element that processes it. Attachment is
+// strictly opt-in and zero-cost when detached: the walk then passes a null
+// decision, so a fabric pays one null-pointer test per work item and an
+// element one per process() call; no bitmap is copied and no allocation
+// happens unless a log is listening.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,7 @@ inline constexpr std::size_t kNoProvParent = static_cast<std::size_t>(-1);
 // Which pipeline stage produced a hop's emissions (paper §4.1 ingress
 // control flow, in match priority order).
 enum class RuleClass : std::uint8_t {
-  kNone = 0,      // no decision recorded (root, or element without hook)
+  kNone = 0,      // no decision recorded (lost in flight)
   kSource,        // the sending hypervisor (root of the tree)
   kPRule,         // parser-matched p-rule (or the sender's core bitmap)
   kUpstream,      // this layer's upstream rule
@@ -68,7 +69,7 @@ struct ProvHop {
   topo::Layer layer = topo::Layer::kHost;
   std::uint32_t node = 0;         // switch / host id within the layer
   std::size_t parent = kNoProvParent;
-  std::size_t bytes_in = 0;       // wire size of the copy on arrival
+  std::size_t bytes_in = 0;       // wire size of the copy (as sent, if lost)
   bool lost = false;              // dropped by the loss model in flight
   HopDecision decision;
   std::vector<std::size_t> children;
@@ -81,43 +82,48 @@ struct SendTrace {
   std::vector<ProvHop> hops;
 };
 
-// The decision log the data plane writes through. Elements hold a nullable
-// pointer to it (forwarding.h).
+// The decision trees a fabric walk records (sim::Fabric::set_provenance).
 class ProvenanceLog {
  public:
   // Starts a new trace rooted at the sending host; returns the root index.
   std::size_t begin_send(std::uint32_t group, std::uint32_t src_host,
                          std::size_t bytes);
 
-  // Appends a hop to the current trace, links it under `parent`, and opens
-  // it for the next record_decision() call. Returns the hop's index.
+  // Appends a hop to the current trace and links it under `parent`.
+  // Returns the hop's index.
   std::size_t begin_hop(topo::Layer layer, std::uint32_t node,
                         std::size_t parent, std::size_t bytes_in);
 
-  // Records a copy the loss model dropped in flight to (`layer`, `node`).
-  void lost_copy(topo::Layer layer, std::uint32_t node, std::size_t parent);
+  // The decision of hop `hop` of the current trace, for the element that
+  // processes it to fill. Valid until the next hop is appended.
+  HopDecision& decision(std::size_t hop) {
+    return sends_.back().hops[hop].decision;
+  }
 
-  // Writes into the hop most recently opened by begin_hop(). Ignored when
-  // no trace or hop is open (elements driven outside a fabric walk).
-  void record_decision(const HopDecision& decision);
+  // Records a copy of `bytes` on the wire that the loss model dropped in
+  // flight to (`layer`, `node`).
+  void lost_copy(topo::Layer layer, std::uint32_t node, std::size_t parent,
+                 std::size_t bytes);
 
   const std::vector<SendTrace>& sends() const noexcept { return sends_; }
   bool empty() const noexcept { return sends_.empty(); }
   const SendTrace& last() const { return sends_.back(); }
 
-  void clear();
+  void clear() { sends_.clear(); }
 
  private:
   std::vector<SendTrace> sends_;
-  std::size_t open_ = kNoProvParent;  // hop index the next decision targets
 };
 
 // Compact one-line description of a decision ("default p-rule ports=0110,
-// popped 12B") shared by the plain and the oracle-annotated renderers.
+// popped 12B").
 std::string describe(const HopDecision& decision);
 
-// Plain-text decision tree (no oracle join; tools/explain renders the
-// annotated version via verify::SendExplanation).
-std::string render_trace(const SendTrace& trace);
+// The decision tree as text, one line per hop indented by depth. `notes`
+// optionally annotates hops by index (nullptr or past its end: none);
+// sim::mtrace marks member and redundant copies and verify::explain_send
+// each copy's cause this way.
+std::string render_trace(const SendTrace& trace,
+                         std::span<const char* const> notes = {});
 
 }  // namespace elmo::obs

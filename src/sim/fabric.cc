@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string_view>
 #include <stdexcept>
 
 #include "obs/span.h"
@@ -111,11 +112,6 @@ Fabric::Fabric(const topo::ClosTopology& topology) : topo_{&topology} {
     link_base_[n + 1] = link_base_[n] + out_degree(n);
   }
   link_stats_.assign(link_base_.back(), LinkStats{});
-}
-
-void Fabric::set_provenance(obs::ProvenanceLog* log) {
-  prov_ = log;
-  for (auto* e : elements_) e->set_provenance(log);
 }
 
 void Fabric::trace_watch(net::Ipv4Address group, topo::HostId host,
@@ -389,7 +385,8 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
   } else {
     ++walk_stats_.lost_copies;
     if (prov_ != nullptr) {
-      prov_->lost_copy(first_leaf.layer, first_leaf.id, prov_root);
+      prov_->lost_copy(first_leaf.layer, first_leaf.id, prov_root,
+                       packet.size());
     }
   }
 
@@ -421,13 +418,16 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
     };
 
     std::size_t prov_hop = obs::kNoProvParent;
+    obs::HopDecision* decision = nullptr;
     if (prov_ != nullptr) {
       prov_hop = prov_->begin_hop(item.at.layer, item.at.id, item.prov,
                                   item.packet.size());
+      decision = &prov_->decision(prov_hop);
     }
 
     arena_.clear();
-    const auto emissions = element(item.at).process(item.packet, 0, arena_);
+    const auto emissions =
+        element(item.at).process(item.packet, 0, arena_, decision);
 
     if (at_host) {
       // Hypervisor emissions are per-VM payload deliveries, not wire hops.
@@ -444,7 +444,8 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       if (lost_on(loss_rng, from_index, emission.out_port)) {
         ++walk_stats_.lost_copies;
         if (prov_ != nullptr) {
-          prov_->lost_copy(next.layer, next.id, prov_hop);
+          prov_->lost_copy(next.layer, next.id, prov_hop,
+                           emission.packet.size());
         }
         continue;
       }
@@ -571,58 +572,139 @@ void Fabric::ensure_link_classes() const {
   }
 }
 
-void Fabric::sample_into(obs::TimeSeriesStore& store) const {
-  struct LayerSample {
-    topo::Layer layer;
-    const char* packets_in;
-    const char* copies_out;
-    const char* drops;
+namespace {
+
+// The fabric's series table (DESIGN.md §14): one row per field of a stats
+// struct, named <prefix><name>. `sampled` rows are also appended by
+// Fabric::sample_into for the health detectors.
+template <class Stats>
+struct SeriesField {
+  const char* name;
+  std::uint64_t Stats::*value;
+  bool sampled;
+  const char* help;
+};
+
+// Prefixed elmo_dp_{leaf,spine,core}_.
+constexpr SeriesField<dp::SwitchStats> kSwitchSeries[] = {
+    {"packets_in_total", &dp::SwitchStats::packets_in, true,
+     "Packets entering the pipeline"},
+    {"bytes_in_total", &dp::SwitchStats::bytes_in, false,
+     "Bytes entering the pipeline"},
+    {"copies_out_total", &dp::SwitchStats::copies_out, true,
+     "Replicated copies emitted"},
+    {"bytes_out_total", &dp::SwitchStats::bytes_out, false,
+     "Bytes emitted across all copies"},
+    {"prule_matches_total", &dp::SwitchStats::prule_matches, false,
+     "Packets forwarded via a parser-matched p-rule bitmap"},
+    {"upstream_matches_total", &dp::SwitchStats::upstream_matches, false,
+     "Packets forwarded via the layer's upstream rule"},
+    {"srule_matches_total", &dp::SwitchStats::srule_matches, false,
+     "Packets forwarded via a group-table s-rule"},
+    {"default_matches_total", &dp::SwitchStats::default_matches, false,
+     "Packets that fell back to the default p-rule"},
+    {"drops_total", &dp::SwitchStats::drops, true,
+     "Packets dropped (no rule, or switch down)"},
+    {"header_pops_total", &dp::SwitchStats::header_pops, false,
+     "Copies whose consumed Elmo sections were invalidated"},
+    {"header_pop_bytes_total", &dp::SwitchStats::header_pop_bytes, false,
+     "Elmo header bytes removed by pops"},
+};
+
+// Prefixed elmo_dp_host_.
+constexpr SeriesField<dp::HypervisorStats> kHostSeries[] = {
+    {"sent_total", &dp::HypervisorStats::sent, true,
+     "Multicast packets encapsulated"},
+    {"bytes_sent_total", &dp::HypervisorStats::bytes_sent, false,
+     "Encapsulated bytes handed to the wire"},
+    {"received_total", &dp::HypervisorStats::received, true,
+     "Fabric packets received by hypervisors"},
+    {"bytes_received_total", &dp::HypervisorStats::bytes_received, false,
+     "Bytes received by hypervisors"},
+    {"vm_deliveries_total", &dp::HypervisorStats::delivered_to_vms, true,
+     "Per-VM payload deliveries"},
+    {"delivered_bytes_total", &dp::HypervisorStats::delivered_bytes, false,
+     "Payload bytes handed to local VMs"},
+    {"redundant_copies_total", &dp::HypervisorStats::discarded, false,
+     "Copies received by hosts with no local members (redundancy)"},
+    {"unicast_fallback_total", &dp::HypervisorStats::unicast_fallback, false,
+     "Sends that fell back to per-member unicast"},
+};
+
+// Prefixed elmo_fabric_.
+constexpr SeriesField<FabricWalkStats> kWalkSeries[] = {
+    {"sends_total", &FabricWalkStats::sends, true, "Multicast walks started"},
+    {"unicast_sends_total", &FabricWalkStats::unicast_sends, false,
+     "Unicast path walks"},
+    {"work_items_total", &FabricWalkStats::work_items, false,
+     "Event-queue entries processed"},
+    {"enqueues_total", &FabricWalkStats::enqueues, false,
+     "Event-queue entries pushed"},
+    {"vm_deliveries_total", &FabricWalkStats::vm_deliveries, false,
+     "VM deliveries observed by the walk"},
+    {"host_copies_total", &FabricWalkStats::host_copies, false,
+     "Copies delivered to host ports"},
+    {"link_transmissions_total", &FabricWalkStats::link_transmissions, true,
+     "Per-link transmissions accounted"},
+    {"wire_bytes_total", &FabricWalkStats::wire_bytes, true,
+     "Bytes placed on the wire"},
+    {"lost_copies_total", &FabricWalkStats::lost_copies, true,
+     "Copies dropped by the loss model"},
+};
+
+// Directed per-layer-pair transmission sums, indexed by link class: the
+// "copies put on the wire towards layer X" side of the conservation law the
+// loss-rate detector checks against layer X's own arrival counters.
+constexpr const char* kLinkSeries[6] = {
+    "elmo_link_host_leaf_tx_total",  "elmo_link_leaf_host_tx_total",
+    "elmo_link_leaf_spine_tx_total", "elmo_link_spine_leaf_tx_total",
+    "elmo_link_spine_core_tx_total", "elmo_link_core_spine_tx_total",
+};
+
+}  // namespace
+
+void Fabric::for_each_series(
+    const std::function<void(const FabricSeries&)>& fn) const {
+  // Names are joined in a stack buffer: the visit never allocates.
+  char name[64];
+  auto visit = [&](std::string_view prefix, const auto& fields,
+                   const auto& stats) {
+    prefix.copy(name, prefix.size());
+    for (const auto& f : fields) {
+      const std::string_view suffix{f.name};
+      suffix.copy(name + prefix.size(), suffix.size());
+      fn(FabricSeries{{name, prefix.size() + suffix.size()}, f.help,
+                      f.sampled, stats.*f.value});
+    }
   };
-  static constexpr LayerSample kLayerSamples[] = {
-      {topo::Layer::kLeaf, "elmo_dp_leaf_packets_in_total",
-       "elmo_dp_leaf_copies_out_total", "elmo_dp_leaf_drops_total"},
-      {topo::Layer::kSpine, "elmo_dp_spine_packets_in_total",
-       "elmo_dp_spine_copies_out_total", "elmo_dp_spine_drops_total"},
-      {topo::Layer::kCore, "elmo_dp_core_packets_in_total",
-       "elmo_dp_core_copies_out_total", "elmo_dp_core_drops_total"},
-  };
-  for (const auto& ls : kLayerSamples) {
-    const auto s = aggregate_switch_stats(ls.layer);
-    store.append(ls.packets_in, static_cast<double>(s.packets_in));
-    store.append(ls.copies_out, static_cast<double>(s.copies_out));
-    store.append(ls.drops, static_cast<double>(s.drops));
-  }
+  visit("elmo_dp_leaf_", kSwitchSeries,
+        aggregate_switch_stats(topo::Layer::kLeaf));
+  visit("elmo_dp_spine_", kSwitchSeries,
+        aggregate_switch_stats(topo::Layer::kSpine));
+  visit("elmo_dp_core_", kSwitchSeries,
+        aggregate_switch_stats(topo::Layer::kCore));
+  visit("elmo_dp_host_", kHostSeries, aggregate_hypervisor_stats());
+  visit("elmo_fabric_", kWalkSeries, walk_stats_);
 
-  const auto h = aggregate_hypervisor_stats();
-  store.append("elmo_dp_host_sent_total", static_cast<double>(h.sent));
-  store.append("elmo_dp_host_received_total", static_cast<double>(h.received));
-  store.append("elmo_dp_host_vm_deliveries_total",
-               static_cast<double>(h.delivered_to_vms));
-
-  store.append("elmo_fabric_sends_total", static_cast<double>(walk_stats_.sends));
-  store.append("elmo_fabric_lost_copies_total",
-               static_cast<double>(walk_stats_.lost_copies));
-  store.append("elmo_fabric_link_transmissions_total",
-               static_cast<double>(walk_stats_.link_transmissions));
-  store.append("elmo_fabric_wire_bytes_total",
-               static_cast<double>(walk_stats_.wire_bytes));
-
-  // Directed per-layer-pair transmission sums: the "copies put on the wire
-  // towards layer X" side of the conservation law the loss-rate detector
-  // checks against layer X's own arrival counters.
   ensure_link_classes();
   std::uint64_t tx[6] = {0, 0, 0, 0, 0, 0};
   for (std::size_t i = 0; i < link_stats_.size(); ++i) {
     tx[link_class_[i]] += link_stats_[i].packets;
   }
-  static constexpr const char* kClassSeries[6] = {
-      "elmo_link_host_leaf_tx_total",  "elmo_link_leaf_host_tx_total",
-      "elmo_link_leaf_spine_tx_total", "elmo_link_spine_leaf_tx_total",
-      "elmo_link_spine_core_tx_total", "elmo_link_core_spine_tx_total",
-  };
   for (std::size_t k = 0; k < 6; ++k) {
-    store.append(kClassSeries[k], static_cast<double>(tx[k]));
+    fn(FabricSeries{kLinkSeries[k],
+                    "Copies put on the wire between two layers, one "
+                    "direction",
+                    true, tx[k]});
   }
+}
+
+void Fabric::sample_into(obs::TimeSeriesStore& store) const {
+  for_each_series([&store](const FabricSeries& series) {
+    if (series.sampled) {
+      store.append(series.name, static_cast<double>(series.value));
+    }
+  });
 }
 
 dp::SwitchStats Fabric::aggregate_switch_stats(topo::Layer layer) const {
@@ -642,78 +724,15 @@ dp::HypervisorStats Fabric::aggregate_hypervisor_stats() const {
 
 void accumulate_fabric_metrics(const Fabric& fabric,
                                obs::MetricsRegistry& reg) {
-  auto add = [&reg](std::string_view name, std::uint64_t value,
-                    std::string_view help) {
-    const auto id = reg.counter(name, help);
-    if (value > 0) reg.add(id, value);
-  };
-
-  struct LayerName {
-    topo::Layer layer;
-    const char* tag;
-  };
-  for (const auto& [layer, tag] : {LayerName{topo::Layer::kLeaf, "leaf"},
-                                   LayerName{topo::Layer::kSpine, "spine"},
-                                   LayerName{topo::Layer::kCore, "core"}}) {
-    const auto s = fabric.aggregate_switch_stats(layer);
-    const std::string p = std::string{"elmo_dp_"} + tag + "_";
-    add(p + "packets_in_total", s.packets_in, "Packets entering the pipeline");
-    add(p + "bytes_in_total", s.bytes_in, "Bytes entering the pipeline");
-    add(p + "copies_out_total", s.copies_out, "Replicated copies emitted");
-    add(p + "bytes_out_total", s.bytes_out, "Bytes emitted across all copies");
-    add(p + "prule_matches_total", s.prule_matches,
-        "Packets forwarded via a parser-matched p-rule bitmap");
-    add(p + "upstream_matches_total", s.upstream_matches,
-        "Packets forwarded via the layer's upstream rule");
-    add(p + "srule_matches_total", s.srule_matches,
-        "Packets forwarded via a group-table s-rule");
-    add(p + "default_matches_total", s.default_matches,
-        "Packets that fell back to the default p-rule");
-    add(p + "drops_total", s.drops, "Packets dropped (no rule, or switch down)");
-    add(p + "header_pops_total", s.header_pops,
-        "Copies whose consumed Elmo sections were invalidated");
-    add(p + "header_pop_bytes_total", s.header_pop_bytes,
-        "Elmo header bytes removed by pops");
-  }
-
-  const auto h = fabric.aggregate_hypervisor_stats();
-  add("elmo_dp_host_sent_total", h.sent, "Multicast packets encapsulated");
-  add("elmo_dp_host_bytes_sent_total", h.bytes_sent,
-      "Encapsulated bytes handed to the wire");
-  add("elmo_dp_host_received_total", h.received,
-      "Fabric packets received by hypervisors");
-  add("elmo_dp_host_bytes_received_total", h.bytes_received,
-      "Bytes received by hypervisors");
-  add("elmo_dp_host_vm_deliveries_total", h.delivered_to_vms,
-      "Per-VM payload deliveries");
-  add("elmo_dp_host_delivered_bytes_total", h.delivered_bytes,
-      "Payload bytes handed to local VMs");
-  add("elmo_dp_host_redundant_copies_total", h.discarded,
-      "Copies received by hosts with no local members (redundancy)");
-  add("elmo_dp_host_unicast_fallback_total", h.unicast_fallback,
-      "Sends that fell back to per-member unicast");
-
-  const auto& w = fabric.walk_stats();
-  add("elmo_fabric_sends_total", w.sends, "Multicast walks started");
-  add("elmo_fabric_unicast_sends_total", w.unicast_sends,
-      "Unicast path walks");
-  add("elmo_fabric_work_items_total", w.work_items,
-      "Event-queue entries processed");
-  add("elmo_fabric_enqueues_total", w.enqueues, "Event-queue entries pushed");
-  add("elmo_fabric_vm_deliveries_total", w.vm_deliveries,
-      "VM deliveries observed by the walk");
-  add("elmo_fabric_host_copies_total", w.host_copies,
-      "Copies delivered to host ports");
-  add("elmo_fabric_link_transmissions_total", w.link_transmissions,
-      "Per-link transmissions accounted");
-  add("elmo_fabric_wire_bytes_total", w.wire_bytes,
-      "Bytes placed on the wire");
-  add("elmo_fabric_lost_copies_total", w.lost_copies,
-      "Copies dropped by the loss model");
+  fabric.for_each_series([&reg](const FabricSeries& series) {
+    const auto id = reg.counter(series.name, series.help);
+    if (series.value > 0) reg.add(id, series.value);
+  });
   const auto depth_id = reg.gauge(
       "elmo_fabric_max_queue_depth",
       "High-water mark of pending event-queue items");
-  reg.gauge_max(depth_id, static_cast<double>(w.max_queue_depth));
+  reg.gauge_max(depth_id,
+                static_cast<double>(fabric.walk_stats().max_queue_depth));
 }
 
 }  // namespace elmo::sim

@@ -26,9 +26,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -90,6 +92,15 @@ struct FabricWalkStats {
   std::uint64_t link_transmissions = 0;
   std::uint64_t wire_bytes = 0;
   std::uint64_t lost_copies = 0;        // dropped by the loss model
+};
+
+// One aggregate series of a fabric (Fabric::for_each_series). `name` is
+// valid only during the visit.
+struct FabricSeries {
+  std::string_view name;
+  const char* help = "";
+  bool sampled = false;  // also appended by Fabric::sample_into
+  std::uint64_t value = 0;
 };
 
 class Fabric {
@@ -170,17 +181,23 @@ class Fabric {
   void set_link_loss(const NodeRef& from, const NodeRef& to, double rate);
   void clear_link_loss();
 
-  // Appends the fabric's aggregate health series — per-layer dataplane
-  // counters, walk totals, and directed per-layer-pair link transmission
-  // sums (elmo_link_<from>_<to>_tx_total) — into `store` under its current
+  // Visits every aggregate series of the fabric — per-layer dataplane
+  // counters, hypervisor and walk totals, and directed per-layer-pair link
+  // transmission sums (elmo_link_<from>_<to>_tx_total) — in one fixed
+  // order. Allocates nothing beyond what `fn` does.
+  void for_each_series(
+      const std::function<void(const FabricSeries&)>& fn) const;
+
+  // Appends the series marked `sampled` into `store` under its current
   // sampling window. Does not advance the window; the driver decides when a
   // window closes. Allocation-free after the first call (DESIGN.md §14).
   void sample_into(obs::TimeSeriesStore& store) const;
 
-  // Optional decision-provenance log (nullptr detaches). Attaches the log to
-  // every forwarding element so each send() grows one decision tree in it
-  // (DESIGN.md §10). Not owned; must outlive the sends it observes.
-  void set_provenance(obs::ProvenanceLog* log);
+  // Optional decision-provenance log (nullptr detaches). Each send() grows
+  // one decision tree in it: the walk opens a hop per work item and passes
+  // its decision to the element's process() (DESIGN.md §10). Not owned;
+  // must outlive the sends it observes.
+  void set_provenance(obs::ProvenanceLog* log) noexcept { prov_ = log; }
   obs::ProvenanceLog* provenance() const noexcept { return prov_; }
 
   // --- Causal tracing & time-to-effect (DESIGN.md §15) ---------------------
@@ -311,9 +328,10 @@ class Fabric {
   dp::EmissionArena arena_;
 };
 
-// One-shot export: registers the telemetry names (idempotent) and adds the
-// fabric's *current* per-element and walk totals into `reg`. Call once per
-// fabric at the end of a run — calling again adds the totals again. Suits
+// One-shot export: registers every Fabric::for_each_series name as a counter
+// (idempotent) plus the queue-depth gauge, and adds the fabric's *current*
+// totals into `reg`. Call once per fabric at the end of a run — calling
+// again adds the totals again. Suits
 // short-lived fabrics (bench iterations, fuzz scenarios) where a live
 // pull-model collector would dangle after the fabric dies.
 void accumulate_fabric_metrics(const Fabric& fabric, obs::MetricsRegistry& reg);

@@ -1,108 +1,77 @@
 #include "sim/mtrace.h"
 
-#include <deque>
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 namespace elmo::sim {
 
-std::string to_string(const NodeRef& node) {
-  switch (node.layer) {
-    case topo::Layer::kHost:
-      return "host" + std::to_string(node.id);
-    case topo::Layer::kLeaf:
-      return "L" + std::to_string(node.id);
-    case topo::Layer::kSpine:
-      return "S" + std::to_string(node.id);
-    case topo::Layer::kCore:
-      return "C" + std::to_string(node.id);
+std::size_t MtraceReport::depth(std::size_t index) const {
+  std::size_t d = 0;
+  for (; trace.hops[index].parent != obs::kNoProvParent; ++d) {
+    index = trace.hops[index].parent;
   }
-  return "?";
+  return d;
 }
+
+namespace {
+
+MtraceCounters snapshot(const Fabric& fabric) {
+  return {fabric.aggregate_switch_stats(topo::Layer::kLeaf),
+          fabric.aggregate_switch_stats(topo::Layer::kSpine),
+          fabric.aggregate_switch_stats(topo::Layer::kCore),
+          fabric.aggregate_hypervisor_stats()};
+}
+
+}  // namespace
 
 MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
                     elmo::GroupId group, topo::HostId sender,
                     std::size_t payload_bytes) {
   const auto& g = controller.group(group);
-  fabric.reset_link_stats();
+  obs::ProvenanceLog local;
+  auto* const attached = fabric.provenance();
+  auto* const log = attached != nullptr ? attached : &local;
+  const auto sends_before = log->sends().size();
 
-  // Per-element counter snapshot before the probe; the report carries the
-  // delta, i.e. what this one packet did.
-  const auto leaves_before = fabric.aggregate_switch_stats(topo::Layer::kLeaf);
-  const auto spines_before =
-      fabric.aggregate_switch_stats(topo::Layer::kSpine);
-  const auto cores_before = fabric.aggregate_switch_stats(topo::Layer::kCore);
-  const auto hosts_before = fabric.aggregate_hypervisor_stats();
-
-  const auto result = fabric.send(sender, g.address, payload_bytes);
-
-  auto switch_delta = [](dp::SwitchStats after, const dp::SwitchStats& before) {
-    after.packets_in -= before.packets_in;
-    after.bytes_in -= before.bytes_in;
-    after.copies_out -= before.copies_out;
-    after.bytes_out -= before.bytes_out;
-    after.prule_matches -= before.prule_matches;
-    after.upstream_matches -= before.upstream_matches;
-    after.srule_matches -= before.srule_matches;
-    after.default_matches -= before.default_matches;
-    after.drops -= before.drops;
-    after.header_pops -= before.header_pops;
-    after.header_pop_bytes -= before.header_pop_bytes;
-    return after;
-  };
+  // Per-element counters before the probe; the report carries the delta,
+  // i.e. what this one packet did.
+  const auto before = snapshot(fabric);
+  fabric.set_provenance(log);
+  (void)fabric.send(sender, g.address, payload_bytes);
+  fabric.set_provenance(attached);
 
   MtraceReport report;
-  report.counters.leaves = switch_delta(
-      fabric.aggregate_switch_stats(topo::Layer::kLeaf), leaves_before);
-  report.counters.spines = switch_delta(
-      fabric.aggregate_switch_stats(topo::Layer::kSpine), spines_before);
-  report.counters.cores = switch_delta(
-      fabric.aggregate_switch_stats(topo::Layer::kCore), cores_before);
-  {
-    auto h = fabric.aggregate_hypervisor_stats();
-    h.sent -= hosts_before.sent;
-    h.bytes_sent -= hosts_before.bytes_sent;
-    h.received -= hosts_before.received;
-    h.bytes_received -= hosts_before.bytes_received;
-    h.delivered_to_vms -= hosts_before.delivered_to_vms;
-    h.delivered_bytes -= hosts_before.delivered_bytes;
-    h.discarded -= hosts_before.discarded;
-    h.unicast_fallback -= hosts_before.unicast_fallback;
-    report.counters.hypervisors = h;
-  }
-  report.total_wire_bytes = result.total_wire_bytes;
-  report.max_depth = result.max_hops + 1;
-  for (const auto& [host, copies] : result.host_copies) {
-    (void)copies;
-    if (g.tree != nullptr && g.tree->is_member(host)) {
+  report.counters = snapshot(fabric);
+  report.counters.leaves -= before.leaves;
+  report.counters.spines -= before.spines;
+  report.counters.cores -= before.cores;
+  report.counters.hypervisors -= before.hypervisors;
+
+  // A sender without a flow for the group sends nothing and records no tree.
+  if (log->sends().size() == sends_before) return report;
+  report.trace = log->last();
+
+  const auto& hops = report.trace.hops;
+  report.notes.assign(hops.size(), nullptr);
+  std::set<topo::HostId> reached;
+  for (std::size_t i = 1; i < hops.size(); ++i) {
+    const auto& hop = hops[i];
+    report.total_wire_bytes += hop.bytes_in;
+    report.max_depth = std::max(report.max_depth, report.depth(i));
+    if (hop.lost) {
+      ++report.lost_copies;
+      continue;
+    }
+    if (hop.layer != topo::Layer::kHost) continue;
+    const bool member = g.tree != nullptr && g.tree->is_member(hop.node) &&
+                        reached.insert(hop.node).second;
+    if (member) {
       ++report.members_reached;
+      report.notes[i] = "<- member";
     } else {
       ++report.redundant_copies;
-    }
-  }
-
-  // Reconstruct the tree breadth-first from the per-link counters.
-  const auto& links = fabric.links();
-  std::map<NodeRef, std::size_t> depth;
-  const NodeRef root{topo::Layer::kHost, sender};
-  depth[root] = 0;
-  std::deque<NodeRef> frontier{root};
-  while (!frontier.empty()) {
-    const auto node = frontier.front();
-    frontier.pop_front();
-    for (const auto& [edge, stats] : links) {
-      if (!(edge.first == node)) continue;
-      MtraceHop hop;
-      hop.from = edge.first;
-      hop.to = edge.second;
-      hop.bytes = stats.bytes / stats.packets;  // per-copy size on this link
-      hop.depth = depth[node] + 1;
-      report.hops.push_back(hop);
-      if (!depth.contains(edge.second)) {
-        depth[edge.second] = hop.depth;
-        if (edge.second.layer != topo::Layer::kHost) {
-          frontier.push_back(edge.second);
-        }
-      }
+      report.notes[i] = "<- redundant";
     }
   }
   return report;
@@ -110,13 +79,11 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
 
 std::string MtraceReport::render() const {
   std::ostringstream out;
-  out << "mtrace: " << hops.size() << " link transmissions, "
+  out << "mtrace: " << link_transmissions() << " link transmissions, "
       << members_reached << " members reached, " << redundant_copies
-      << " redundant copies, " << total_wire_bytes << " wire bytes\n";
-  for (const auto& hop : hops) {
-    out << std::string(2 * hop.depth, ' ') << to_string(hop.from) << " -> "
-        << to_string(hop.to) << "  (" << hop.bytes << "B on wire)\n";
-  }
+      << " redundant copies, " << lost_copies << " lost, "
+      << total_wire_bytes << " wire bytes\n";
+  out << obs::render_trace(trace, notes);
   auto layer_line = [&out](const char* name, const dp::SwitchStats& s) {
     if (s.packets_in == 0) return;
     out << "  " << name << ": " << s.packets_in << " in, " << s.copies_out

@@ -87,45 +87,6 @@ const char* annotation(CopyCause cause) {
   return "";
 }
 
-std::string node_name(topo::Layer layer, std::uint32_t node) {
-  switch (layer) {
-    case topo::Layer::kHost:
-      return "host" + std::to_string(node);
-    case topo::Layer::kLeaf:
-      return "L" + std::to_string(node);
-    case topo::Layer::kSpine:
-      return "S" + std::to_string(node);
-    case topo::Layer::kCore:
-      return "C" + std::to_string(node);
-  }
-  return "?";
-}
-
-void render_annotated(const obs::SendTrace& trace,
-                      const std::map<std::size_t, const char*>& notes,
-                      std::size_t index, std::size_t depth,
-                      std::ostringstream& out) {
-  const auto& hop = trace.hops[index];
-  out << std::string(2 * depth, ' ') << node_name(hop.layer, hop.node);
-  if (hop.lost) {
-    out << "  [lost in flight]\n";
-    return;
-  }
-  if (index == 0) {
-    out << "  [source, " << hop.bytes_in << "B on wire]\n";
-  } else {
-    out << "  [" << obs::describe(hop.decision) << ", " << hop.bytes_in
-        << "B in]";
-    if (const auto it = notes.find(index); it != notes.end()) {
-      out << "  " << it->second;
-    }
-    out << "\n";
-  }
-  for (const auto child : hop.children) {
-    render_annotated(trace, notes, child, depth + 1, out);
-  }
-}
-
 }  // namespace
 
 SendExplanation explain_send(const obs::SendTrace& trace,
@@ -166,12 +127,10 @@ SendExplanation explain_send(const obs::SendTrace& trace,
 }
 
 std::string SendExplanation::render() const {
-  std::ostringstream out;
-  out << "send group=" << trace.group << " from host" << trace.src_host
-      << "\n";
-  std::map<std::size_t, const char*> notes;
+  std::vector<const char*> notes(trace.hops.size(), nullptr);
   for (const auto& copy : copies) notes[copy.hop] = annotation(copy.cause);
-  if (!trace.hops.empty()) render_annotated(trace, notes, 0, 0, out);
+  std::ostringstream out;
+  out << obs::render_trace(trace, notes);
   for (const auto host : missing) {
     out << "MISSING: host" << host << " expected a copy but got none\n";
   }

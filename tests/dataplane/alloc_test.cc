@@ -11,6 +11,8 @@
 
 #include "dataplane/hypervisor_switch.h"
 #include "dataplane/network_switch.h"
+#include "obs/timeseries.h"
+#include "sim/fabric.h"
 #include "elmo/encoder.h"
 
 namespace {
@@ -131,6 +133,22 @@ TEST_F(ZeroAllocationTest, LeafWithoutHostCopiesAllocatesNothing) {
   NetworkSwitch outsider{topo_, topo::Layer::kLeaf, 3};
   EXPECT_EQ(allocations_in_calls(outsider, at_l6), 0u);
   EXPECT_EQ(outsider.stats().drops, 51u);
+}
+
+// DESIGN.md §14: the health sampler reads the fabric's series table into a
+// store without touching the heap once every series exists.
+TEST_F(ZeroAllocationTest, FabricSampleIntoAllocatesNothingAfterFirstCall) {
+  sim::Fabric fabric{topo_};
+  obs::TimeSeriesStore store;
+  fabric.sample_into(store);
+  store.advance();
+  const auto before = g_allocations.load();
+  for (int i = 0; i < kCalls; ++i) {
+    fabric.sample_into(store);
+    store.advance();
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(store.series_count(), 22u);
 }
 
 }  // namespace

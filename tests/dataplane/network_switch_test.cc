@@ -20,21 +20,29 @@ class NetworkSwitchTest : public ::testing::Test {
 
   // Encodes with generous limits: everything in p-rules.
   GroupEncoding encode(std::size_t hmax_leaf = 8, std::size_t r = 2) {
+    return encode_tree(tree_, hmax_leaf, r);
+  }
+  GroupEncoding encode_tree(const elmo::MulticastTree& tree,
+                            std::size_t hmax_leaf = 8, std::size_t r = 2) {
     EncoderConfig cfg;
     cfg.hmax_leaf_override = hmax_leaf;
     cfg.hmax_spine = 4;
     cfg.redundancy_limit = r;
     const GroupEncoder encoder{topo_, cfg};
-    return encoder.encode(tree_, nullptr);
+    return encoder.encode(tree, nullptr);
   }
 
   net::Packet packet_from(topo::HostId sender, const GroupEncoding& enc,
                           std::size_t payload_bytes = 64) {
+    return packet_of(tree_, sender, enc, payload_bytes);
+  }
+  net::Packet packet_of(const elmo::MulticastTree& tree, topo::HostId sender,
+                        const GroupEncoding& enc,
+                        std::size_t payload_bytes = 64) {
     HypervisorSwitch hv{topo_, sender};
     HypervisorSwitch::GroupFlow flow;
     flow.vni = 1;
-    flow.elmo_header =
-        codec_.serialize(tree_.sender_encoding(sender), enc);
+    flow.elmo_header = codec_.serialize(tree.sender_encoding(sender), enc);
     hv.install_flow(group_addr_, flow);
     auto packet = hv.encapsulate(
         group_addr_, std::vector<std::uint8_t>(payload_bytes, 0x77));
@@ -87,6 +95,44 @@ TEST_F(NetworkSwitchTest, UpstreamLeafDeliversLocallyAndForwardsUp) {
   EXPECT_TRUE(to_host);
   EXPECT_TRUE(up);
   EXPECT_EQ(leaf.stats().upstream_matches, 1u);
+}
+
+// A switch counts a header pop only for a copy it emits. A rack-local
+// group's upstream rule has no uplink and multipath off: the leaf sends one
+// host copy, and only its strip is a pop.
+TEST_F(NetworkSwitchTest, RackLocalLeafPopsOnlyForItsHostCopy) {
+  const elmo::MulticastTree rack{topo_, std::vector<topo::HostId>{0, 1}};
+  const auto packet = packet_of(rack, 0, encode_tree(rack));
+  NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
+
+  const auto copies = leaf.process(packet);
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_EQ(copies[0].out_port, 1u);
+  EXPECT_EQ(leaf.stats().upstream_matches, 1u);
+  EXPECT_EQ(leaf.stats().header_pops, 1u);
+  EXPECT_EQ(leaf.stats().header_pop_bytes, elmo_bytes_in(packet));
+}
+
+// The same at a spine: a pod-local group's spine upstream rule sends one
+// copy down to the other leaf and nothing up to the cores.
+TEST_F(NetworkSwitchTest, PodLocalSpinePopsOnlyForItsDownCopy) {
+  const elmo::MulticastTree pod{topo_, std::vector<topo::HostId>{0, 2}};
+  const auto packet = packet_of(pod, 0, encode_tree(pod));
+  NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
+  const auto up = leaf.process(packet);
+  ASSERT_EQ(up.size(), 1u);
+  EXPECT_GE(up[0].out_port, topo_.leaf_down_ports());
+  EXPECT_EQ(leaf.stats().header_pops, 1u);
+
+  NetworkSwitch spine{topo_, topo::Layer::kSpine,
+                      topo_.spine_at(0, up[0].out_port -
+                                            topo_.leaf_down_ports())};
+  const auto copies = spine.process(up[0].packet);
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_EQ(copies[0].out_port, 1u);  // leaf 1 of pod 0
+  EXPECT_EQ(spine.stats().upstream_matches, 1u);
+  EXPECT_EQ(spine.stats().header_pops, 1u);
+  EXPECT_EQ(spine.stats().header_pop_bytes, pop_for_leaf(up[0].packet));
 }
 
 TEST_F(NetworkSwitchTest, UpstreamSpineForwardsToCore) {

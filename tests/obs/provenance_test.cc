@@ -37,17 +37,6 @@ struct ProvenanceFixture : ::testing::Test {
   ProvenanceLog log;
 };
 
-TEST_F(ProvenanceFixture, DecisionsOutsideAWalkAreIgnored) {
-  HopDecision dec;
-  dec.rule = RuleClass::kDrop;
-  log.record_decision(dec);  // no trace open: must not crash or record
-  EXPECT_TRUE(log.empty());
-
-  log.begin_send(1, 0, 100);
-  log.record_decision(dec);  // no hop open: the root keeps kSource
-  EXPECT_EQ(log.last().hops[0].decision.rule, RuleClass::kSource);
-}
-
 TEST_F(ProvenanceFixture, WalkBuildsLinkedDecisionTree) {
   const auto id = make_group({0, 1, 17, 33});
   fabric.set_provenance(&log);
@@ -121,7 +110,25 @@ TEST_F(ProvenanceFixture, LossModelRecordsLostCopies) {
   ASSERT_EQ(trace.hops.size(), 2u);
   EXPECT_TRUE(trace.hops[1].lost);
   EXPECT_EQ(trace.hops[1].layer, topo::Layer::kLeaf);
+  // The lost copy keeps the wire size it was sent with.
+  EXPECT_EQ(trace.hops[1].bytes_in, trace.hops[0].bytes_in);
   EXPECT_NE(render_trace(trace).find("[lost in flight]"), std::string::npos);
+}
+
+TEST_F(ProvenanceFixture, RenderAppendsPerHopNotes) {
+  const auto id = make_group({0, 1});
+  fabric.set_provenance(&log);
+  (void)fabric.send(0, controller.group(id).address, std::size_t{64});
+
+  // host0 -> L0 -> host1; a note on the delivery only, and a notes span
+  // shorter than the trace leaves the rest bare.
+  const auto& trace = log.last();
+  ASSERT_EQ(trace.hops.size(), 3u);
+  const char* notes[] = {nullptr, nullptr, "<- here"};
+  const auto text = render_trace(trace, notes);
+  EXPECT_NE(text.find("B in]  <- here\n"), std::string::npos);
+  EXPECT_EQ(text.find("<- here"), text.rfind("<- here"));
+  EXPECT_EQ(render_trace(trace, std::span{notes, 1}), render_trace(trace));
 }
 
 TEST_F(ProvenanceFixture, RenderNamesNodesAndRules) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "testutil.h"
 
 namespace elmo::sim {
@@ -167,6 +169,33 @@ TEST_F(FabricFixture, VmDeliveriesFollowLocalMembership) {
   fabric.install_group(controller, id);
   const auto result = fabric.send(0, controller.group(id).address, 64);
   EXPECT_EQ(result.vm_deliveries, 1u);
+}
+
+// sample_into and accumulate_fabric_metrics read one series table: every
+// series the health sampler appends is a registry counter of equal value.
+TEST_F(FabricFixture, SampledSeriesEqualTheExportedCounters) {
+  const auto id = make_group({0, 1, 17, 33});
+  fabric.set_loss(0.2, 3);
+  for (int i = 0; i < 8; ++i) {
+    (void)fabric.send(0, controller.group(id).address, std::size_t{64});
+  }
+  (void)fabric.send_unicast(0, 33, 64);
+
+  obs::MetricsRegistry reg;
+  accumulate_fabric_metrics(fabric, reg);
+  const auto snap = reg.snapshot();
+  obs::TimeSeriesStore store;
+  fabric.sample_into(store);
+
+  const auto names = store.names();
+  EXPECT_EQ(names.size(), 22u);
+  for (const auto& name : names) {
+    const auto* exported = snap.find(name);
+    ASSERT_NE(exported, nullptr) << name;
+    EXPECT_EQ(store.last(name)->value, exported->value) << name;
+  }
+  EXPECT_GT(store.last("elmo_link_spine_core_tx_total")->value, 0.0);
+  EXPECT_GT(store.last("elmo_fabric_lost_copies_total")->value, 0.0);
 }
 
 }  // namespace

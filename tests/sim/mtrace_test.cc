@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace elmo::sim {
 namespace {
 
@@ -32,11 +34,18 @@ TEST_F(MtraceFixture, SingleRackTrace) {
   const auto report = mtrace(fabric, controller, id, 0, 64);
   EXPECT_EQ(report.members_reached, 1u);
   EXPECT_EQ(report.redundant_copies, 0u);
-  // host0 -> L0 -> host1: two hops.
-  ASSERT_EQ(report.hops.size(), 2u);
-  EXPECT_EQ(report.hops[0].from, (NodeRef{topo::Layer::kHost, 0}));
-  EXPECT_EQ(report.hops[0].to, (NodeRef{topo::Layer::kLeaf, 0}));
-  EXPECT_EQ(report.hops[1].to, (NodeRef{topo::Layer::kHost, 1}));
+  // host0 -> L0 -> host1: two link transmissions.
+  ASSERT_EQ(report.link_transmissions(), 2u);
+  const auto& hops = report.trace.hops;
+  EXPECT_EQ(hops[0].layer, topo::Layer::kHost);
+  EXPECT_EQ(hops[0].node, 0u);
+  EXPECT_EQ(hops[1].layer, topo::Layer::kLeaf);
+  EXPECT_EQ(hops[1].node, 0u);
+  EXPECT_EQ(hops[1].parent, 0u);
+  EXPECT_EQ(hops[2].layer, topo::Layer::kHost);
+  EXPECT_EQ(hops[2].node, 1u);
+  EXPECT_EQ(hops[2].parent, 1u);
+  EXPECT_EQ(report.max_depth, 2u);
 }
 
 TEST_F(MtraceFixture, CrossPodTraceShowsPopping) {
@@ -47,16 +56,25 @@ TEST_F(MtraceFixture, CrossPodTraceShowsPopping) {
 
   // Header bytes shrink monotonically with depth (p-rule popping): compare
   // the first hop against final host deliveries.
+  const auto& hops = report.trace.hops;
   std::uint64_t first_hop_bytes = 0;
   std::uint64_t min_delivery_bytes = ~0ull;
-  for (const auto& hop : report.hops) {
-    if (hop.depth == 1) first_hop_bytes = hop.bytes;
-    if (hop.to.layer == topo::Layer::kHost) {
-      min_delivery_bytes = std::min(min_delivery_bytes, hop.bytes);
+  std::uint64_t wire_bytes = 0;
+  for (std::size_t i = 1; i < hops.size(); ++i) {
+    wire_bytes += hops[i].bytes_in;
+    if (report.depth(i) == 1) first_hop_bytes = hops[i].bytes_in;
+    if (hops[i].layer == topo::Layer::kHost) {
+      min_delivery_bytes = std::min<std::uint64_t>(min_delivery_bytes,
+                                                   hops[i].bytes_in);
+    }
+    // Every copy is no larger than the one it was replicated from.
+    if (hops[i].parent != 0) {
+      EXPECT_LE(hops[i].bytes_in, hops[hops[i].parent].bytes_in);
     }
   }
   EXPECT_GT(first_hop_bytes, min_delivery_bytes);
   EXPECT_EQ(min_delivery_bytes, net::kOuterHeaderBytes + 100);
+  EXPECT_EQ(report.total_wire_bytes, wire_bytes);
 }
 
 TEST_F(MtraceFixture, RenderMentionsEveryLayer) {
@@ -97,9 +115,9 @@ TEST_F(MtraceFixture, CounterDeltasCoverTheProbe) {
 TEST_F(MtraceFixture, CounterDeltaGoldenRender) {
   // Deterministic single-rack probe: host0 -> L0 -> host1. The sender's leaf
   // matches its upstream rule (the up-facing table owns packets entering from
-  // the rack) and pops both the upstream and leaf header sections before the
-  // hypervisor strips the rest. Golden-pins the counter-delta section of the
-  // render so accounting regressions show up as a literal diff.
+  // the rack); the rule has no uplink, so the one pop is the host copy's
+  // strip. Golden-pins the counter-delta section of the render so accounting
+  // regressions show up as a literal diff.
   const auto id = make_group({0, 1});
   const auto report = mtrace(fabric, controller, id, 0, 64);
   const auto text = report.render();
@@ -107,7 +125,7 @@ TEST_F(MtraceFixture, CounterDeltaGoldenRender) {
   EXPECT_EQ(counters,
             "counters (probe delta):\n"
             "  leaf : 1 in, 1 out, 0 p-rule, 1 upstream, 0 s-rule, "
-            "0 default, 0 drops, 2 pops (" +
+            "0 default, 0 drops, 1 pops (" +
                 std::to_string(report.counters.leaves.header_pop_bytes) +
                 "B)\n"
                 "  host : 1 received, 1 VM deliveries, 0 discarded\n");
@@ -130,6 +148,80 @@ TEST_F(MtraceFixture, RedundantCopiesAttributed) {
   const auto report = mtrace(tight_fabric, tight, id, members[0].host, 64);
   EXPECT_GT(report.redundant_copies, 0u);
   EXPECT_EQ(report.members_reached, members.size() - 1);
+  // Every host copy is one or the other, and the render says which.
+  const auto& h = report.counters.hypervisors;
+  EXPECT_EQ(report.members_reached + report.redundant_copies, h.received);
+  const auto text = report.render();
+  EXPECT_NE(text.find("<- member"), std::string::npos);
+  EXPECT_NE(text.find("<- redundant"), std::string::npos);
+}
+
+TEST_F(MtraceFixture, ProbeKeepsEarlierLinkCounters) {
+  const auto id = make_group({0, 1, 17, 33});
+  for (int i = 0; i < 10; ++i) {
+    (void)fabric.send(0, controller.group(id).address, std::size_t{64});
+  }
+  auto total = [](const auto& links) {
+    std::uint64_t packets = 0;
+    for (const auto& [edge, stats] : links) packets += stats.packets;
+    return packets;
+  };
+  const auto before = fabric.links();
+  const auto report = mtrace(fabric, controller, id, 0, 64);
+  const auto after = fabric.links();
+
+  // The probe adds its own transmissions and erases none of the history.
+  EXPECT_GT(total(before), 0u);
+  EXPECT_EQ(total(after), total(before) + report.link_transmissions());
+  for (const auto& [edge, stats] : before) {
+    ASSERT_TRUE(after.contains(edge));
+    EXPECT_GE(after.at(edge).packets, stats.packets);
+  }
+}
+
+TEST_F(MtraceFixture, LossyProbesNeverCountLostCopiesAsReached) {
+  const auto id = make_group({0, 1, 2, 17, 18, 33, 49});
+  fabric.set_loss(0.5, 7);
+  std::size_t lost = 0;
+  for (int probe = 0; probe < 20; ++probe) {
+    const auto report = mtrace(fabric, controller, id, 0, 64);
+    const auto& hops = report.trace.hops;
+    std::size_t lost_here = 0;
+    std::size_t host_arrivals = 0;
+    for (std::size_t i = 1; i < hops.size(); ++i) {
+      if (hops[i].lost) {
+        ++lost_here;
+        // A lost copy keeps the wire size it was sent with, has no
+        // decision and no note.
+        EXPECT_GE(hops[i].bytes_in, net::kOuterHeaderBytes + 64);
+        EXPECT_EQ(hops[i].decision.rule, obs::RuleClass::kNone);
+        EXPECT_TRUE(hops[i].children.empty());
+        EXPECT_EQ(report.notes[i], nullptr);
+      } else if (hops[i].layer == topo::Layer::kHost) {
+        ++host_arrivals;
+        EXPECT_NE(report.notes[i], nullptr);
+      }
+    }
+    EXPECT_EQ(report.lost_copies, lost_here);
+    // Reached copies are exactly the ones the hypervisors received.
+    EXPECT_EQ(report.members_reached + report.redundant_copies, host_arrivals);
+    EXPECT_EQ(host_arrivals, report.counters.hypervisors.received);
+    lost += lost_here;
+  }
+  EXPECT_GT(lost, 0u);  // the campaign did lose copies
+}
+
+TEST_F(MtraceFixture, RecordsIntoTheAttachedLogOrALocalOne) {
+  const auto id = make_group({0, 17});
+  (void)mtrace(fabric, controller, id, 0, 64);
+  EXPECT_EQ(fabric.provenance(), nullptr);  // the local log was detached
+
+  obs::ProvenanceLog log;
+  fabric.set_provenance(&log);
+  const auto report = mtrace(fabric, controller, id, 0, 64);
+  EXPECT_EQ(fabric.provenance(), &log);
+  ASSERT_EQ(log.sends().size(), 1u);
+  EXPECT_EQ(log.last().hops.size(), report.trace.hops.size());
 }
 
 }  // namespace
