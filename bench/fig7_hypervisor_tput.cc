@@ -58,10 +58,7 @@ void BM_HypervisorEncap(benchmark::State& state) {
   const auto rules = static_cast<std::size_t>(state.range(0));
   dp::HypervisorSwitch hv{fabric(), 0};
   const auto group = net::Ipv4Address::multicast_group(1);
-  dp::HypervisorSwitch::GroupFlow flow;
-  flow.vni = 1;
-  flow.elmo_header = header_with_rules(rules);
-  hv.install_flow(group, flow);
+  hv.install_flow(group, 1, {}, header_with_rules(rules));
   const std::vector<std::uint8_t> payload(kPayloadBytes, 0x42);
 
   std::uint64_t bytes = 0;

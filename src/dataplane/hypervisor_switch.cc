@@ -1,17 +1,71 @@
 #include "dataplane/hypervisor_switch.h"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/provenance.h"
 
 namespace elmo::dp {
 
-void HypervisorSwitch::install_flow(net::Ipv4Address group, GroupFlow flow) {
-  flows_.insert_or_assign(group.value, std::move(flow));
+SuffixStore::Suffix SuffixStore::share(std::uint32_t group,
+                                       std::span<const std::uint8_t> header,
+                                       const elmo::HeaderCodec& codec) {
+  if (header.empty()) return nullptr;
+  auto& slot = current_[group];
+  if (auto held = slot.lock();
+      held != nullptr && held->size() <= header.size() &&
+      std::memcmp(held->data(), header.data() + header.size() - held->size(),
+                  held->size()) == 0) {
+    return held;
+  }
+  std::size_t split = 0;
+  try {
+    split = codec.sections(header).pop_offset(elmo::SectionTag::kSpineRules);
+  } catch (const std::logic_error&) {
+    if (slot.expired()) current_.erase(group);
+    return nullptr;
+  }
+  auto fresh = std::make_shared<const std::vector<std::uint8_t>>(
+      header.begin() + static_cast<std::ptrdiff_t>(split), header.end());
+  slot = fresh;
+  return fresh;
+}
+
+void SuffixStore::forget_if_unused(std::uint32_t group) {
+  const auto it = current_.find(group);
+  if (it != current_.end() && it->second.expired()) current_.erase(it);
+}
+
+std::vector<std::uint8_t> HypervisorSwitch::HeaderParts::bytes() const {
+  std::vector<std::uint8_t> out(prefix.begin(), prefix.end());
+  out.insert(out.end(), suffix.begin(), suffix.end());
+  return out;
+}
+
+void HypervisorSwitch::install_flow(net::Ipv4Address group, std::uint32_t vni,
+                                    std::span<const std::uint32_t> local_vms,
+                                    std::span<const std::uint8_t> header) {
+  auto& flow = flows_[group.value];
+  flow.vni = vni;
+  flow.local_vms.assign(local_vms.begin(), local_vms.end());
+  auto suffix = suffixes_->share(group.value, header, codec_);
+  const auto split = header.size() - (suffix ? suffix->size() : 0);
+  flow.prefix.assign(header.begin(),
+                     header.begin() + static_cast<std::ptrdiff_t>(split));
+  // Dropping the last reference to the group's suffix (the flow stops
+  // sending) also drops its slot.
+  const bool dropped = flow.suffix != nullptr && suffix == nullptr;
+  flow.suffix = std::move(suffix);
+  if (dropped) suffixes_->forget_if_unused(group.value);
 }
 
 void HypervisorSwitch::remove_flow(net::Ipv4Address group) {
-  flows_.erase(group.value);
+  const auto it = flows_.find(group.value);
+  if (it == flows_.end()) return;
+  const bool held = it->second.suffix != nullptr;
+  flows_.erase(it);
+  if (held) suffixes_->forget_if_unused(group.value);
 }
 
 std::optional<net::Packet> HypervisorSwitch::encapsulate(
@@ -19,9 +73,8 @@ std::optional<net::Packet> HypervisorSwitch::encapsulate(
   const auto it = flows_.find(group.value);
   if (it == flows_.end()) return std::nullopt;
   const auto& flow = it->second;
+  const auto elmo = flow.header();
 
-  // Build the full outer header (including the Elmo template) once, then
-  // prepend with a single copy — the "one header, one write" fast path.
   net::EthernetHeader eth;
   eth.src = host_mac(host_);
   eth.dst = fabric_mac();
@@ -31,29 +84,33 @@ std::optional<net::Packet> HypervisorSwitch::encapsulate(
   ip.dst = group;
   ip.total_length = static_cast<std::uint16_t>(
       net::Ipv4Header::kSize + net::UdpHeader::kSize + net::VxlanHeader::kSize +
-      flow.elmo_header.size() + payload.size());
+      elmo.size() + payload.size());
 
   net::UdpHeader udp;
   udp.src_port = static_cast<std::uint16_t>(0xc000 | (host_ & 0x3fff));
   udp.length = static_cast<std::uint16_t>(
-      net::UdpHeader::kSize + net::VxlanHeader::kSize +
-      flow.elmo_header.size() + payload.size());
+      net::UdpHeader::kSize + net::VxlanHeader::kSize + elmo.size() +
+      payload.size());
 
   net::VxlanHeader vxlan;
   vxlan.vni = flow.vni;
-  vxlan.elmo_present = !flow.elmo_header.empty();
+  vxlan.elmo_present = !elmo.empty();
 
-  std::vector<std::uint8_t> header;
-  header.reserve(net::kOuterHeaderBytes + flow.elmo_header.size());
-  for (const auto& part :
-       {eth.serialize(), ip.serialize(), udp.serialize(), vxlan.serialize()}) {
-    header.insert(header.end(), part.begin(), part.end());
-  }
-  header.insert(header.end(), flow.elmo_header.begin(),
-                flow.elmo_header.end());
-
-  net::Packet packet{payload};
-  packet.push_front(header);
+  // One buffer with room for the whole header; every part is written
+  // straight into its headroom — the "one header, one write" fast path.
+  const std::size_t header_bytes = net::kOuterHeaderBytes + elmo.size();
+  net::Packet packet{payload,
+                     std::max(net::Packet::kDefaultHeadroom, header_bytes)};
+  auto at = packet.prepend(header_bytes).begin();
+  const auto put = [&at](std::span<const std::uint8_t> part) {
+    at = std::copy(part.begin(), part.end(), at);
+  };
+  put(eth.serialize());
+  put(ip.serialize());
+  put(udp.serialize());
+  put(vxlan.serialize());
+  put(elmo.prefix);
+  put(elmo.suffix);
   ++stats_.sent;
   stats_.bytes_sent += packet.size();
   return packet;

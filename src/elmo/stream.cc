@@ -604,8 +604,10 @@ std::uint64_t fabric_state_digest(const sim::Fabric& fabric) {
       std::sort(vms.begin(), vms.end());
       digest.u64(vms.size());
       for (const auto vm : vms) digest.u32(vm);
-      digest.u64(flow->elmo_header.size());
-      digest.bytes(flow->elmo_header.data(), flow->elmo_header.size());
+      const auto header = flow->header();
+      digest.u64(header.size());
+      digest.bytes(header.prefix.data(), header.prefix.size());
+      digest.bytes(header.suffix.data(), header.suffix.size());
     }
   }
   for (topo::LeafId l = 0; l < t.num_leaves(); ++l) {

@@ -10,7 +10,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace elmo::net {
 
@@ -27,7 +26,7 @@ struct EthernetHeader {
   MacAddress src{};
   std::uint16_t ether_type = kEtherTypeIpv4;
 
-  std::vector<std::uint8_t> serialize() const;
+  std::array<std::uint8_t, kSize> serialize() const;
   static EthernetHeader parse(std::span<const std::uint8_t> data);
 };
 
@@ -63,7 +62,7 @@ struct Ipv4Header {
   Ipv4Address src{};
   Ipv4Address dst{};
 
-  std::vector<std::uint8_t> serialize() const;
+  std::array<std::uint8_t, kSize> serialize() const;
   static Ipv4Header parse(std::span<const std::uint8_t> data);
 
   static std::uint16_t checksum(std::span<const std::uint8_t> header);
@@ -76,7 +75,7 @@ struct UdpHeader {
   std::uint16_t dst_port = kVxlanUdpPort;
   std::uint16_t length = 0;  // header + payload
 
-  std::vector<std::uint8_t> serialize() const;
+  std::array<std::uint8_t, kSize> serialize() const;
   static UdpHeader parse(std::span<const std::uint8_t> data);
 };
 
@@ -90,7 +89,7 @@ struct VxlanHeader {
   std::uint32_t vni = 0;    // 24 bits used; identifies the tenant
   bool elmo_present = false;  // reserved-bit 0x01
 
-  std::vector<std::uint8_t> serialize() const;
+  std::array<std::uint8_t, kSize> serialize() const;
   static VxlanHeader parse(std::span<const std::uint8_t> data);
 };
 

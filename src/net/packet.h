@@ -88,6 +88,9 @@ class Packet {
 
   // Prepends a header; grows headroom if exhausted.
   void push_front(std::span<const std::uint8_t> header);
+  // Prepends `count` bytes and returns them for the caller to fill (a header
+  // written in place); grows headroom if exhausted.
+  std::span<std::uint8_t> prepend(std::size_t count);
 
   // Removes `count` bytes from the front (header consumed by a hop).
   void pop_front(std::size_t count);

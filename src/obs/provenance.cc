@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "net/headers.h"
+
 namespace elmo::obs {
 
 const char* to_string(RuleClass rule) {
@@ -150,8 +152,8 @@ std::string describe(const HopDecision& decision) {
 std::string render_trace(const SendTrace& trace,
                          std::span<const char* const> notes) {
   std::ostringstream out;
-  out << "send group=" << trace.group << " from host" << trace.src_host
-      << "\n";
+  out << "send group=" << net::Ipv4Address{trace.group}.to_string()
+      << " from host" << trace.src_host << "\n";
   if (!trace.hops.empty()) render_hop(trace, notes, 0, 0, out);
   return out.str();
 }

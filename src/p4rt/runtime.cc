@@ -381,14 +381,10 @@ std::vector<Update> decode(std::span<const std::uint8_t> wire) {
 
 void apply_update(sim::Fabric& fabric, const Update& u) {
   switch (u.kind) {
-    case UpdateKind::kHypervisorFlowAdd: {
-      dp::HypervisorSwitch::GroupFlow flow;
-      flow.vni = u.vni;
-      flow.local_vms = u.local_vms;
-      flow.elmo_header = u.elmo_header;
-      fabric.hypervisor(u.host).install_flow(u.group, std::move(flow));
+    case UpdateKind::kHypervisorFlowAdd:
+      fabric.hypervisor(u.host).install_flow(u.group, u.vni, u.local_vms,
+                                             u.elmo_header);
       break;
-    }
     case UpdateKind::kHypervisorFlowDel:
       fabric.hypervisor(u.host).remove_flow(u.group);
       break;

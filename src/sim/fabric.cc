@@ -50,10 +50,13 @@ constexpr const char* kLayerSpanNames[] = {"host", "leaf", "spine", "core"};
 }  // namespace
 
 Fabric::Fabric(const topo::ClosTopology& topology) : topo_{&topology} {
+  // One downstream-suffix store for every hypervisor: a group's suffix is
+  // held once however many of its hosts send.
+  const auto suffixes = std::make_shared<dp::SuffixStore>();
   hypervisors_.reserve(topology.num_hosts());
   for (topo::HostId h = 0; h < topology.num_hosts(); ++h) {
     hypervisors_.push_back(
-        std::make_unique<dp::HypervisorSwitch>(topology, h));
+        std::make_unique<dp::HypervisorSwitch>(topology, h, suffixes));
   }
   leaves_.reserve(topology.num_leaves());
   for (topo::LeafId l = 0; l < topology.num_leaves(); ++l) {
@@ -211,17 +214,21 @@ void Fabric::install_group(const elmo::Controller& controller,
   // local VM (and its header template) whenever two VMs of the group share
   // a host. Kept independent of p4rt::compile_install (and of its shared
   // header suffix): the stream equivalence checks use this as the reference.
-  std::map<topo::HostId, dp::HypervisorSwitch::GroupFlow> flows;
+  struct HostFlow {
+    std::vector<std::uint32_t> local_vms;
+    std::vector<std::uint8_t> header;
+  };
+  std::map<topo::HostId, HostFlow> flows;
   for (const auto& member : g.members) {
     auto& flow = flows[member.host];
-    flow.vni = g.tenant;
     if (elmo::can_receive(member.role)) flow.local_vms.push_back(member.vm);
-    if (elmo::can_send(member.role) && flow.elmo_header.empty()) {
-      flow.elmo_header = controller.header_for(group, member.host);
+    if (elmo::can_send(member.role) && flow.header.empty()) {
+      flow.header = controller.header_for(group, member.host);
     }
   }
-  for (auto& [host, flow] : flows) {
-    hypervisor(host).install_flow(g.address, std::move(flow));
+  for (const auto& [host, flow] : flows) {
+    hypervisor(host).install_flow(g.address, g.tenant, flow.local_vms,
+                                  flow.header);
   }
 
   for (const auto& [leaf_id, bitmap] : g.encoding.leaf.s_rules) {

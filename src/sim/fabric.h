@@ -21,6 +21,8 @@
 // Per-node and per-link state is flat and index-addressed: elements live in
 // one contiguous table and link counters in one contiguous array indexed by
 // (node, out-port), so the hot walk does array arithmetic, not tree lookups.
+// The hypervisors share one dp::SuffixStore, so each group's downstream
+// header suffix is held once, not once per sending host (DESIGN.md §4).
 #pragma once
 
 #include <algorithm>

@@ -550,16 +550,13 @@ class Runner {
 
   // --- mutation machinery --------------------------------------------------
 
-  dp::HypervisorSwitch::GroupFlow build_flow(
-      const GroupState& g, topo::HostId host,
-      std::vector<std::uint8_t> header) const {
-    dp::HypervisorSwitch::GroupFlow flow;
-    flow.vni = g.tenant;
-    flow.elmo_header = std::move(header);
+  std::vector<std::uint32_t> local_vms(const GroupState& g,
+                                       topo::HostId host) const {
+    std::vector<std::uint32_t> vms;
     for (const auto& m : g.members) {
-      if (m.host == host && can_receive(m.role)) flow.local_vms.push_back(m.vm);
+      if (m.host == host && can_receive(m.role)) vms.push_back(m.vm);
     }
-    return flow;
+    return vms;
   }
 
   std::vector<topo::HostId> sending_hosts(const GroupState& g) const {
@@ -679,10 +676,10 @@ class Runner {
         for (const auto host : sending_hosts(g)) {
           const auto route =
               g.tree->sender_route(host, controller_.failures());
-          auto header =
+          const auto header =
               controller_.encoder().codec().serialize(route.encoding, mutated);
-          fabric_.hypervisor(host).install_flow(
-              g.address, build_flow(g, host, std::move(header)));
+          fabric_.hypervisor(host).install_flow(g.address, g.tenant,
+                                                local_vms(g, host), header);
         }
         applied_ = true;
         break;
@@ -695,24 +692,21 @@ class Runner {
         const auto senders = sending_hosts(g);
         const bool sends = std::find(senders.begin(), senders.end(),
                                      target_host_) != senders.end();
-        auto flow = build_flow(
-            g, target_host_,
+        auto vms = local_vms(g, target_host_);
+        const auto it = std::find(vms.begin(), vms.end(), target_vm_);
+        if (it == vms.end()) return;  // churned away; keep prior
+        vms.erase(it);
+        fabric_.hypervisor(target_host_).install_flow(
+            g.address, g.tenant, vms,
             sends ? controller_.header_for(id, target_host_)
                   : std::vector<std::uint8_t>{});
-        const auto it =
-            std::find(flow.local_vms.begin(), flow.local_vms.end(), target_vm_);
-        if (it == flow.local_vms.end()) return;  // churned away; keep prior
-        flow.local_vms.erase(it);
-        fabric_.hypervisor(target_host_).install_flow(g.address,
-                                                      std::move(flow));
         applied_ = true;
         break;
       }
       case Mutation::kWrongSenderHeader: {
-        auto flow = build_flow(g, target_host_,
-                               controller_.header_for(id, target_other_));
-        fabric_.hypervisor(target_host_).install_flow(g.address,
-                                                      std::move(flow));
+        fabric_.hypervisor(target_host_).install_flow(
+            g.address, g.tenant, local_vms(g, target_host_),
+            controller_.header_for(id, target_other_));
         applied_ = true;
         break;
       }

@@ -1,8 +1,9 @@
-// Steady-state allocation invariant of the switch parser: a spine or core
+// Steady-state allocation invariants of the data plane: a spine or core
 // process() call, and a leaf call that makes no host-bound copy, allocate
-// nothing. This file replaces the global operator new for the whole
-// dataplane_tests binary with a counting one; the counter is read only
-// around the calls under test.
+// nothing; a hypervisor encapsulate allocates only the packet buffer. This
+// file replaces the global operator new for the whole dataplane_tests
+// binary with a counting one; the counter is read only around the calls
+// under test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,10 +52,9 @@ class ZeroAllocationTest : public ::testing::Test {
 
   net::PacketView sent_by(topo::HostId sender) {
     HypervisorSwitch hv{topo_, sender};
-    HypervisorSwitch::GroupFlow flow;
-    flow.elmo_header = elmo::HeaderCodec{topo_}.serialize(
-        tree_.sender_encoding(sender), encoding_);
-    hv.install_flow(group_, flow);
+    hv.install_flow(group_, 0, {},
+                    elmo::HeaderCodec{topo_}.serialize(
+                        tree_.sender_encoding(sender), encoding_));
     return net::PacketView{
         std::move(*hv.encapsulate(group_, std::vector<std::uint8_t>(64, 0)))};
   }
@@ -133,6 +133,31 @@ TEST_F(ZeroAllocationTest, LeafWithoutHostCopiesAllocatesNothing) {
   NetworkSwitch outsider{topo_, topo::Layer::kLeaf, 3};
   EXPECT_EQ(allocations_in_calls(outsider, at_l6), 0u);
   EXPECT_EQ(outsider.stats().drops, 51u);
+}
+
+// DESIGN.md §4: encapsulation writes the outer headers, the sender's
+// prefix and the group's shared suffix straight into the one packet
+// buffer, whatever the header's size.
+TEST_F(ZeroAllocationTest, EncapsulateAllocatesOnlyThePacketBuffer) {
+  HypervisorSwitch hv{topo_, 0};
+  const std::vector<std::uint8_t> payload(64, 0);
+  const auto elmo = elmo::HeaderCodec{topo_}.serialize(
+      tree_.sender_encoding(0), encoding_);
+  // Past the default headroom: an unparseable header is stored whole.
+  const std::vector<std::uint8_t> oversized(
+      net::Packet::kDefaultHeadroom + 100, 0x55);
+  for (const auto& header : {elmo, oversized}) {
+    hv.install_flow(group_, 1, {}, header);
+    (void)hv.encapsulate(group_, payload);
+    const auto before = g_allocations.load();
+    for (int i = 0; i < kCalls; ++i) {
+      const auto packet = hv.encapsulate(group_, payload);
+      ASSERT_EQ(packet->size(),
+                net::kOuterHeaderBytes + header.size() + payload.size());
+    }
+    EXPECT_EQ(g_allocations.load() - before, std::uint64_t{kCalls})
+        << header.size() << "-byte header";
+  }
 }
 
 // DESIGN.md §14: the health sampler reads the fabric's series table into a

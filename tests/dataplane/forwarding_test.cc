@@ -30,10 +30,8 @@ class ForwardingTest : public ::testing::Test {
                               std::size_t payload_bytes = 64) {
     const auto enc = encode(tree);
     HypervisorSwitch hv{topo_, sender};
-    HypervisorSwitch::GroupFlow flow;
-    flow.vni = 1;
-    flow.elmo_header = codec_.serialize(tree.sender_encoding(sender), enc);
-    hv.install_flow(group_addr_, flow);
+    hv.install_flow(group_addr_, 1, {},
+                    codec_.serialize(tree.sender_encoding(sender), enc));
     auto packet = hv.encapsulate(
         group_addr_, std::vector<std::uint8_t>(payload_bytes, 0x77));
     return net::PacketView{std::move(*packet)};
@@ -48,10 +46,8 @@ TEST_F(ForwardingTest, BothSwitchTypesDriveThroughTheBaseInterface) {
   const MulticastTree tree{topo_, std::vector<topo::HostId>{0, 1, 2}};
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
   HypervisorSwitch hv{topo_, 1};
-  HypervisorSwitch::GroupFlow flow;
-  flow.vni = 1;
-  flow.local_vms = {0};
-  hv.install_flow(group_addr_, flow);
+  const std::vector<std::uint32_t> vms{0};
+  hv.install_flow(group_addr_, 1, vms);
 
   const auto packet = packet_from(0, tree);
   EmissionArena arena;
@@ -129,10 +125,8 @@ TEST_F(ForwardingTest, HypervisorEmitsZeroCopyPerVmPayloadViews) {
   const auto packet = packet_from(0, tree, payload_bytes);
 
   HypervisorSwitch hv{topo_, 1};
-  HypervisorSwitch::GroupFlow flow;
-  flow.vni = 1;
-  flow.local_vms = {4, 9};
-  hv.install_flow(group_addr_, flow);
+  const std::vector<std::uint32_t> vms{4, 9};
+  hv.install_flow(group_addr_, 1, vms);
 
   EmissionArena arena;
   net::reset_copy_stats();

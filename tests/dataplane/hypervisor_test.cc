@@ -23,10 +23,8 @@ TEST(HypervisorSwitch, EncapBuildsParseableOuterHeaders) {
   const auto t = small();
   HypervisorSwitch hv{t, 3};
   const auto group = net::Ipv4Address::multicast_group(9);
-  HypervisorSwitch::GroupFlow flow;
-  flow.vni = 42;
-  flow.elmo_header = {0xaa, 0xbb, 0xcc};
-  hv.install_flow(group, flow);
+  const std::vector<std::uint8_t> header{0xaa, 0xbb, 0xcc};
+  hv.install_flow(group, 42, {}, header);
 
   const std::vector<std::uint8_t> payload{9, 8, 7, 6};
   const auto packet = hv.encapsulate(group, payload);
@@ -64,14 +62,9 @@ TEST(HypervisorSwitch, ReceiveDeliversToLocalMembers) {
   HypervisorSwitch receiver{t, 1};
   const auto group = net::Ipv4Address::multicast_group(5);
 
-  HypervisorSwitch::GroupFlow tx_flow;
-  tx_flow.vni = 7;
-  sender.install_flow(group, tx_flow);
-
-  HypervisorSwitch::GroupFlow rx_flow;
-  rx_flow.vni = 7;
-  rx_flow.local_vms = {11, 12};
-  receiver.install_flow(group, rx_flow);
+  sender.install_flow(group, 7, {});
+  const std::vector<std::uint32_t> vms{11, 12};
+  receiver.install_flow(group, 7, vms);
 
   const std::vector<std::uint8_t> payload(100, 0x55);
   const auto packet = sender.encapsulate(group, payload);
@@ -90,8 +83,7 @@ TEST(HypervisorSwitch, ReceiveDiscardsNonMemberGroups) {
   HypervisorSwitch sender{t, 0};
   HypervisorSwitch bystander{t, 2};
   const auto group = net::Ipv4Address::multicast_group(5);
-  HypervisorSwitch::GroupFlow tx_flow;
-  sender.install_flow(group, tx_flow);
+  sender.install_flow(group, 0, {});
 
   const auto packet =
       sender.encapsulate(group, std::vector<std::uint8_t>{1});
@@ -105,7 +97,7 @@ TEST(HypervisorSwitch, FlowLifecycle) {
   HypervisorSwitch hv{t, 0};
   const auto group = net::Ipv4Address::multicast_group(1);
   EXPECT_FALSE(hv.has_flow(group));
-  hv.install_flow(group, HypervisorSwitch::GroupFlow{});
+  hv.install_flow(group, 0, {});
   EXPECT_TRUE(hv.has_flow(group));
   EXPECT_EQ(hv.flow_count(), 1u);
   hv.remove_flow(group);

@@ -25,9 +25,7 @@ TEST(LegacySwitch, ForwardsFromGroupTableWithoutPopping) {
 
   // Craft the packet the sender's hypervisor would emit.
   HypervisorSwitch hv{t, 0};
-  HypervisorSwitch::GroupFlow flow;
-  flow.elmo_header = controller.header_for(id, 0);
-  hv.install_flow(g.address, flow);
+  hv.install_flow(g.address, 0, {}, controller.header_for(id, 0));
   auto packet = *hv.encapsulate(g.address, std::vector<std::uint8_t>(64, 1));
 
   NetworkSwitch legacy{t, topo::Layer::kLeaf, 0};
@@ -60,16 +58,13 @@ TEST(LegacySwitch, HypervisorSkipsUnstrippedHeader) {
   const auto& g = controller.group(id);
 
   HypervisorSwitch sender{t, 0};
-  HypervisorSwitch::GroupFlow tx;
-  tx.elmo_header = controller.header_for(id, 0);
-  sender.install_flow(g.address, tx);
+  sender.install_flow(g.address, 0, {}, controller.header_for(id, 0));
   const auto packet =
       *sender.encapsulate(g.address, std::vector<std::uint8_t>(200, 7));
 
   HypervisorSwitch receiver{t, 5};
-  HypervisorSwitch::GroupFlow rx;
-  rx.local_vms = {1};
-  receiver.install_flow(g.address, rx);
+  const std::vector<std::uint32_t> vms{1};
+  receiver.install_flow(g.address, 0, vms);
 
   // Simulate a legacy leaf: the packet arrives with the Elmo header intact.
   const auto deliveries = receiver.receive(packet);

@@ -19,9 +19,7 @@ net::Packet upstream_packet(const topo::ClosTopology& t,
                             topo::HostId sender) {
   const auto& g = controller.group(id);
   HypervisorSwitch hv{t, sender};
-  HypervisorSwitch::GroupFlow flow;
-  flow.elmo_header = controller.header_for(id, sender);
-  hv.install_flow(g.address, flow);
+  hv.install_flow(g.address, 0, {}, controller.header_for(id, sender));
   return *hv.encapsulate(g.address, std::vector<std::uint8_t>(64, 0));
 }
 

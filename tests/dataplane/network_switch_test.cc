@@ -40,10 +40,8 @@ class NetworkSwitchTest : public ::testing::Test {
                         const GroupEncoding& enc,
                         std::size_t payload_bytes = 64) {
     HypervisorSwitch hv{topo_, sender};
-    HypervisorSwitch::GroupFlow flow;
-    flow.vni = 1;
-    flow.elmo_header = codec_.serialize(tree.sender_encoding(sender), enc);
-    hv.install_flow(group_addr_, flow);
+    hv.install_flow(group_addr_, 1, {},
+                    codec_.serialize(tree.sender_encoding(sender), enc));
     auto packet = hv.encapsulate(
         group_addr_, std::vector<std::uint8_t>(payload_bytes, 0x77));
     return std::move(*packet);
@@ -263,7 +261,7 @@ TEST_F(NetworkSwitchTest, ClearElmoFlagMeansNoHeaderToParse) {
   // with the VXLAN Elmo-present flag clear. The payload right behind the
   // outer header must not be read as Elmo sections or popped.
   HypervisorSwitch hv{topo_, 0};
-  hv.install_flow(group_addr_, HypervisorSwitch::GroupFlow{});
+  hv.install_flow(group_addr_, 0, {});
   for (const std::uint8_t fill : {0x00, 0x77}) {
     const auto packet =
         *hv.encapsulate(group_addr_, std::vector<std::uint8_t>(64, fill));

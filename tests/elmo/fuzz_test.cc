@@ -80,9 +80,7 @@ TEST(Fuzz, BitflippedHeadersNeverCrashTheSwitchParser) {
   const auto& g = controller.group(id);
 
   dp::HypervisorSwitch hv{t, 0};
-  dp::HypervisorSwitch::GroupFlow flow;
-  flow.elmo_header = controller.header_for(id, 0);
-  hv.install_flow(g.address, flow);
+  hv.install_flow(g.address, 0, {}, controller.header_for(id, 0));
   const auto clean =
       *hv.encapsulate(g.address, std::vector<std::uint8_t>(32, 0));
 
@@ -93,9 +91,8 @@ TEST(Fuzz, BitflippedHeadersNeverCrashTheSwitchParser) {
   dp::NetworkSwitch spine{t, topo::Layer::kSpine, t.spine_at(0, 0)};
   dp::NetworkSwitch core{t, topo::Layer::kCore, 0};
   dp::HypervisorSwitch member{t, 17};
-  dp::HypervisorSwitch::GroupFlow member_flow;
-  member_flow.local_vms = {1};
-  member.install_flow(g.address, member_flow);
+  const std::vector<std::uint32_t> member_vms{1};
+  member.install_flow(g.address, 0, member_vms);
   const std::vector<std::pair<dp::NetworkSwitch*, std::size_t>> switches{
       {&leaf, t.leaf_down_ports() + t.leaf_up_ports()},
       {&spine, t.spine_down_ports() + t.spine_up_ports()},

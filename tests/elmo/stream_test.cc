@@ -231,7 +231,7 @@ BruteForceDelta brute_force_delta(const Controller& controller,
       const auto* flow = fabric.hypervisor(u.host).flow(addr);
       if (flow != nullptr && flow->vni == u.vni &&
           flow->local_vms == u.local_vms &&
-          flow->elmo_header == u.elmo_header) {
+          flow->header().bytes() == u.elmo_header) {
         continue;
       }
       ++d.flow_adds;
@@ -362,12 +362,12 @@ TEST(ControlPlane, PendingSetIsTheBruteForceDeltaForEveryKindOfChange) {
 
   {
     SCOPED_TRACE("header presence: a receiver-only host gains a sender");
-    ASSERT_TRUE(w.fabric.hypervisor(5).flow(addr)->elmo_header.empty());
+    ASSERT_TRUE(w.fabric.hypervisor(5).flow(addr)->header().empty());
     cp.join(id, member(5, 2, MemberRole::kSender));
     const auto d = expect_pending_is_brute_force_delta(cp, w, id, addr);
     EXPECT_EQ(d.size(), 1u);
     EXPECT_EQ(d.per_element.hosts[5], 1u);
-    EXPECT_FALSE(w.fabric.hypervisor(5).flow(addr)->elmo_header.empty());
+    EXPECT_FALSE(w.fabric.hypervisor(5).flow(addr)->header().empty());
   }
 
   {

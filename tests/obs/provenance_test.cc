@@ -137,6 +137,10 @@ TEST_F(ProvenanceFixture, RenderNamesNodesAndRules) {
   (void)fabric.send(0, controller.group(id).address, std::size_t{64});
 
   const auto text = render_trace(log.last());
+  // The group is named by its dotted address, as mtrace_tool prints it.
+  EXPECT_EQ(text.substr(0, text.find('\n')),
+            "send group=" + controller.group(id).address.to_string() +
+                " from host0");
   EXPECT_NE(text.find("host0"), std::string::npos);
   EXPECT_NE(text.find("L0"), std::string::npos);
   EXPECT_NE(text.find("host17"), std::string::npos);
