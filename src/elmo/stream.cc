@@ -514,30 +514,31 @@ std::size_t ControlPlane::flush() {
     const auto decoded = p4rt::decode(wire);
     if (traced) tracer_->end_span(span);
 
-    if (!traced) {
-      p4rt::apply_updates(*fabric_, decoded);
-    } else {
-      // Per-update install spans. decode preserves batch order, so
-      // decoded[i] pairs with ctxs[i]; flow installs also poke the fabric's
-      // time-to-effect watches.
-      for (std::size_t i = 0; i < decoded.size(); ++i) {
-        const auto& u = decoded[i];
-        const auto ictx = tracer_->begin_span(
+    // Each update is applied and counted; traced, it also gets an install
+    // span. decode preserves batch order, so decoded[i] pairs with ctxs[i];
+    // flow installs also poke the fabric's time-to-effect watches.
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      const auto& u = decoded[i];
+      obs::TraceContext ictx{};
+      if (traced) {
+        ictx = tracer_->begin_span(
             install_span_name(u.kind), obs::TraceLane::kInstall, flush_ctx,
             {{"group", static_cast<double>(u.group.value)},
              {"target", install_target(u)}});
-        p4rt::apply_update(*fabric_, u);
-        tracer_->end_span(ictx);
-        if (i < ctxs.size() && ctxs[i].trace_id != 0) {
-          tracer_->flow(ctxs[i], obs::TraceLane::kControl, ictx,
-                        obs::TraceLane::kInstall);
-        }
-        if (u.kind == p4rt::UpdateKind::kHypervisorFlowAdd ||
-            u.kind == p4rt::UpdateKind::kHypervisorFlowDel) {
-          fabric_->trace_rule_installed(
-              u.group, u.host, ictx,
-              u.kind == p4rt::UpdateKind::kHypervisorFlowDel);
-        }
+      }
+      p4rt::apply_update(*fabric_, u);
+      note_applied(u);
+      if (!traced) continue;
+      tracer_->end_span(ictx);
+      if (i < ctxs.size() && ctxs[i].trace_id != 0) {
+        tracer_->flow(ctxs[i], obs::TraceLane::kControl, ictx,
+                      obs::TraceLane::kInstall);
+      }
+      if (u.kind == p4rt::UpdateKind::kHypervisorFlowAdd ||
+          u.kind == p4rt::UpdateKind::kHypervisorFlowDel) {
+        fabric_->trace_rule_installed(
+            u.group, u.host, ictx,
+            u.kind == p4rt::UpdateKind::kHypervisorFlowDel);
       }
     }
 
@@ -545,7 +546,6 @@ std::size_t ControlPlane::flush() {
     stats_.wire_bytes += wire.size();
     stats_.updates_applied += applied;
     ++stats_.batches_encoded;
-    for (const auto& u : decoded) note_applied(u);
     ELMO_METRIC({
       reg.add(stream_metric_ids().wire_bytes, wire.size());
       reg.add(stream_metric_ids().updates, applied);

@@ -18,7 +18,7 @@
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
 // wire sees only the final state), and the batch is flushed through
-// p4rt::encode/decode/apply_updates when it reaches
+// p4rt::encode/decode and one p4rt::apply_update per update when it reaches
 // ControlPlaneOptions::flush_threshold (or on an explicit flush()). Per-
 // event ingest-to-install lag is recorded at flush time.
 //
@@ -143,7 +143,7 @@ class ControlPlane final : public MembershipDriver {
   // gets a wire-lane trace with p4rt framing children and per-update install
   // spans, cross-linked by flow events, and join/leave events arm the
   // fabric's time-to-effect watches. Detached (the default), ingest pays one
-  // null test per event and flush keeps its single apply_updates call.
+  // null test per event and flush one per applied update.
   void set_tracer(obs::Tracer* tracer) noexcept {
     tracer_ = tracer;
     fabric_->set_tracer(tracer);

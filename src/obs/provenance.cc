@@ -81,8 +81,6 @@ void ProvenanceLog::lost_copy(topo::Layer layer, std::uint32_t node,
   trace.hops[add_hop(trace, layer, node, parent, bytes)].lost = true;
 }
 
-namespace {
-
 std::string node_name(topo::Layer layer, std::uint32_t node) {
   switch (layer) {
     case topo::Layer::kHost:
@@ -96,6 +94,8 @@ std::string node_name(topo::Layer layer, std::uint32_t node) {
   }
   return "?";
 }
+
+namespace {
 
 void render_hop(const SendTrace& trace, std::span<const char* const> notes,
                 std::size_t index, std::size_t depth,

@@ -115,6 +115,10 @@ class ProvenanceLog {
   std::vector<SendTrace> sends_;
 };
 
+// A hop's node as every decision-tree view prints it: "host3", "L0", "S2",
+// "C1".
+std::string node_name(topo::Layer layer, std::uint32_t node);
+
 // Compact one-line description of a decision ("default p-rule ports=0110,
 // popped 12B").
 std::string describe(const HopDecision& decision);

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <exception>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "dataplane/common.h"
 #include "elmo/evaluator.h"
 #include "elmo/stream.h"
-#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/timeseries.h"
 #include "sim/fabric.h"
 #include "verify/explain.h"
 #include "verify/oracle.h"
@@ -62,26 +59,31 @@ std::string describe(const Member& m) {
          role_name(m.role) + ")";
 }
 
+// The seed picks the plane's flush threshold, so the campaign covers
+// per-event installs (1, where a divergence is pinned to the event that
+// caused it) and batches that coalesce several events' updates (8, 64).
+constexpr std::size_t kFlushThresholds[] = {1, 8, 64};
+
 class Runner {
  public:
   Runner(const Scenario& scenario, Mutation mutation,
-         const RunObservability* observability, const RunOptions& options)
+         const RunObservability* observability)
       : sc_{scenario},
         mutation_{mutation},
-        options_{options},
         topo_{scenario.params},
         controller_{topo_, scenario.config},
         fabric_{topo_},
+        plane_{controller_, fabric_,
+               stream::ControlPlaneOptions{
+                   kFlushThresholds[scenario.seed % 3]}},
         legacy_{scenario.legacy_leaves},
         oracle_{topo_, scenario.legacy_leaves} {
     if (!legacy_.empty()) legacy_.resize(topo_.num_leaves(), false);
     if (observability != nullptr) {
       registry_ = observability->registry;
       captures_ = observability->captures;
-      ts_ = observability->timeseries;
-      health_ = observability->health;
-      tracer_ = observability->tracer;
-      fabric_.set_tracer(tracer_);
+      // Attaches the tracer to the fabric too.
+      plane_.set_tracer(observability->tracer);
     }
     // The runner always walks with provenance attached: every diff it
     // reports carries the send's annotated decision tree (DESIGN.md §10).
@@ -96,7 +98,6 @@ class Runner {
         step(i, sc_.events[i]);
         ++report_.events_run;
         if (failed_) return finish();
-        sample_window();
       }
       settle_and_diff("end of run");
       if (failed_) return finish();
@@ -117,19 +118,6 @@ class Runner {
       accumulate_fabric_metrics(fabric_, *registry_);
     }
     return report_;
-  }
-
-  // One health sampling window per scenario event (DESIGN.md §14).
-  void sample_window() {
-    if (ts_ == nullptr) return;
-    fabric_.sample_into(*ts_);
-    ts_->append("elmo_expect_vm_deliveries_total", expected_vm_total_);
-    if (plane_.has_value()) {
-      ts_->append("elmo_stream_install_lag_p99_seconds",
-                  plane_->stats().install_lag_seconds.percentile(0.99));
-    }
-    ts_->advance();
-    if (health_ != nullptr) health_->tick();
   }
 
   void fail(std::string message) {
@@ -156,21 +144,10 @@ class Runner {
           g.tenant, std::span<const Member>{g.members}));
       oracle_.create_group(g.members);
     }
-    for (std::size_t gi = 0; gi < ids_.size(); ++gi) {
-      fabric_.install_group(controller_, ids_[gi]);
-    }
-    if (options_.delta_installs) {
-      // The seed picks the flush threshold, so the campaign covers per-event
-      // installs (1, where a divergence is pinned to the event that caused
-      // it) and batches that coalesce several events' updates (8, 64).
-      constexpr std::size_t kFlushThresholds[] = {1, 8, 64};
-      plane_.emplace(controller_, fabric_,
-                     stream::ControlPlaneOptions{kFlushThresholds[sc_.seed % 3]});
-      if (tracer_ != nullptr) plane_->set_tracer(tracer_);
-      for (const auto id : ids_) plane_->track_group(id);
-    }
+    for (const auto id : ids_) plane_.refresh(id);
+    plane_.flush();
     select_mutation_target();
-    apply_fabric_mutation();
+    apply_fabric_mutation(fabric_);
     diff_membership("after setup");
     if (failed_) return;
     diff_fabric_state("after setup");
@@ -178,27 +155,17 @@ class Runner {
 
   void step(std::size_t index, const Event& ev) {
     const std::string at = "event #" + str(index);
+    // kSkipMirrorUpdate: membership changes go to the controller behind the
+    // plane's back, so its mirror (and the fabric) go stale.
+    const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
     switch (ev.kind) {
       case EventKind::kJoin: {
         const auto id = ids_.at(ev.group_index);
-        const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
-        if (plane_.has_value()) {
-          if (stale) {
-            // Behind the plane's back: its mirror (and the fabric) go stale.
-            controller_.join(id, ev.member);
-            applied_ = true;
-          } else {
-            plane_->join(id, ev.member);
-          }
-        } else {
-          if (!stale) fabric_.uninstall_group(controller_, id);
+        if (stale) {
           controller_.join(id, ev.member);
-          if (stale) {
-            applied_ = true;
-          } else {
-            fabric_.install_group(controller_, id);
-            apply_fabric_mutation();
-          }
+          applied_ = true;
+        } else {
+          plane_.join(id, ev.member);
         }
         oracle_.join(ev.group_index, ev.member);
         diff_membership(at);
@@ -208,10 +175,6 @@ class Runner {
       }
       case EventKind::kLeave: {
         const auto id = ids_.at(ev.group_index);
-        const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
-        if (!stale && !plane_.has_value()) {
-          fabric_.uninstall_group(controller_, id);
-        }
         if (mutation_ == Mutation::kLeaveByHostOnly) {
           // The pre-fix churn bug: leave by host alone removes the FIRST
           // member on the host, which under co-location may not be the VM
@@ -224,23 +187,18 @@ class Runner {
             applied_ = true;
           }
           controller_.leave(id, ev.member.host);
-          // Delta mode: stream whatever the (wrong) controller state now
-          // encodes, so the harness fault stays upstream of the plane.
-          if (plane_.has_value()) plane_->refresh(id);
-        } else if (plane_.has_value() && !stale) {
-          plane_->leave(id, ev.member.host, ev.member.vm);
-        } else {
+          // Stream whatever the (wrong) controller state now encodes, so
+          // the harness fault stays upstream of the plane.
+          plane_.refresh(id);
+        } else if (stale) {
           controller_.leave(id, ev.member.host, ev.member.vm);
+          applied_ = true;
+        } else {
+          plane_.leave(id, ev.member.host, ev.member.vm);
         }
         if (!oracle_.leave(ev.group_index, ev.member.host, ev.member.vm)) {
           fail(at + ": oracle mirror missing member " + describe(ev.member));
           return;
-        }
-        if (stale) {
-          applied_ = true;
-        } else if (!plane_.has_value()) {
-          fabric_.install_group(controller_, id);
-          apply_fabric_mutation();
         }
         diff_membership(at);
         if (failed_) return;
@@ -278,7 +236,6 @@ class Runner {
         break;
       case EventKind::kHostFail: {
         const auto host = ev.member.host;
-        const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
         // Snapshot the evicted memberships from the oracle mirror first, so
         // the controller/plane mutation and the oracle stay in lockstep.
         std::vector<std::pair<std::size_t, std::vector<Member>>> affected;
@@ -289,22 +246,15 @@ class Runner {
           }
           if (!on_host.empty()) affected.emplace_back(gi, std::move(on_host));
         }
-        if (plane_.has_value() && !stale) {
-          plane_->host_fail(host);
-        } else {
+        if (stale) {
           for (const auto& [gi, members] : affected) {
-            const auto id = ids_.at(gi);
-            if (!stale) fabric_.uninstall_group(controller_, id);
             for (const auto& m : members) {
-              controller_.leave(id, m.host, m.vm);
+              controller_.leave(ids_.at(gi), m.host, m.vm);
             }
-            if (!stale) fabric_.install_group(controller_, id);
           }
-          if (stale) {
-            applied_ = !affected.empty() || applied_;
-          } else {
-            apply_fabric_mutation();
-          }
+          applied_ = !affected.empty() || applied_;
+        } else {
+          plane_.host_fail(host);
         }
         for (const auto& [gi, members] : affected) {
           for (const auto& m : members) {
@@ -322,58 +272,47 @@ class Runner {
     }
   }
 
-  // Failures change only sender headers (upstream re-routing); refresh every
-  // hypervisor template but leave switch s-rules alone. Delta mode streams
-  // the same resync through the plane: refresh_all re-diffs every tracked
-  // group and only the rules the failure actually changed hit the wire.
+  // Failures change only sender headers (upstream re-routing): refresh_all
+  // re-diffs every tracked group, and only the rules the failure actually
+  // changed hit the wire.
   void resync_headers() {
-    if (plane_.has_value()) {
-      plane_->refresh_all();
-    } else {
-      for (std::size_t gi = 0; gi < ids_.size(); ++gi) {
-        fabric_.install_group(controller_, ids_[gi]);
-      }
-    }
+    plane_.refresh_all();
     settle();
     diff_fabric_state("after failure resync");
   }
 
-  // Delta mode: drains the plane's pending updates into the fabric. Either
-  // mode re-seeds the fabric-side fault, so the next check sees it.
+  // Drains the plane's pending updates into the fabric and re-seeds the
+  // fabric-side fault, so the next check sees it.
   void settle() {
-    if (plane_.has_value()) plane_->flush();
-    apply_fabric_mutation();
+    plane_.flush();
+    apply_fabric_mutation(fabric_);
   }
 
-  // Delta mode: every send check and every state digest reads a settled
-  // fabric, so an oracle verdict never blames updates still waiting for
-  // their flush. Batch mode installs and re-seeds the fault at each event.
+  // Every send check and every state digest reads a settled fabric, so an
+  // oracle verdict never blames updates still waiting for their flush.
   void settle_and_diff(const std::string& at) {
-    if (!plane_.has_value()) return;
     settle();
     diff_fabric_state(at);
   }
 
-  // After a membership event: batch mode installed and re-seeded the fault
-  // already. Delta mode digests only once the plane holds nothing pending —
-  // after every event at flush threshold 1, and at larger thresholds after
-  // the events that auto-flushed or changed no rule — so later events can
-  // still coalesce with this one's updates.
+  // After a membership event: digests only once the plane holds nothing
+  // pending — after every event at flush threshold 1, and at larger
+  // thresholds after the events that auto-flushed or changed no rule — so
+  // later events can still coalesce with this one's updates.
   void diff_settled_fabric_state(const std::string& at) {
-    if (plane_.has_value()) {
-      if (plane_->pending() != 0) return;
-      settle();
-    }
-    diff_fabric_state(at);
+    if (plane_.pending() != 0) return;
+    settle_and_diff(at);
   }
 
-  // Continuous churn oracle (delta mode only): at every settled point, the
-  // live fabric's installed state must digest-equal a fresh batch install
-  // of the controller's current encodings. Catches stale rules, missed
-  // deltas, and leaked state the send-level differ would only notice if a
-  // later send happened to traverse them.
+  // Continuous churn oracle: at every settled point, the live fabric's
+  // installed state must digest-equal a fresh batch install of the
+  // controller's current encodings. Catches stale rules, missed deltas, and
+  // leaked state the send-level differ would only notice if a later send
+  // happened to traverse them. The fabric-side fault is seeded into the
+  // reference too, so the digest referees the plane alone and every fabric
+  // fault is left for the send checks to catch.
   void diff_fabric_state(const std::string& at) {
-    if (!options_.delta_installs || failed_) return;
+    if (failed_) return;
     sim::Fabric reference{topo_};
     if (!legacy_.empty()) {
       for (topo::LeafId l = 0; l < topo_.num_leaves(); ++l) {
@@ -381,9 +320,10 @@ class Runner {
       }
     }
     for (const auto id : ids_) reference.install_group(controller_, id);
+    apply_fabric_mutation(reference);
     if (stream::fabric_state_digest(fabric_) !=
         stream::fabric_state_digest(reference)) {
-      fail(at + ": delta-installed fabric state diverges from a fresh batch "
+      fail(at + ": streamed fabric state diverges from a fresh batch "
                 "install of the controller's current encodings");
     }
   }
@@ -491,7 +431,6 @@ class Runner {
     for (const auto& [host, copies] : res.host_copies) {
       want_vms += copies * oracle_.receiving_vms_on(gi, host);
     }
-    expected_vm_total_ += static_cast<double>(want_vms);
     if (res.vm_deliveries != want_vms) {
       fail(ctx + ": " + str(res.vm_deliveries) + " VM deliveries, expected " +
            str(want_vms) + " (copies x mirrored receiving VMs)");
@@ -659,9 +598,10 @@ class Runner {
     }
   }
 
-  // (Re-)seeds the fabric-side fault. Called after every fabric sync so
-  // reinstalls cannot silently heal the mutation.
-  void apply_fabric_mutation() {
+  // (Re-)seeds the fabric-side fault into `fabric`: the fabric under test
+  // after every flush, so streamed updates cannot silently heal the
+  // mutation, and each digest's reference.
+  void apply_fabric_mutation(sim::Fabric& fabric) {
     if (!target_found_) return;
     const auto id = ids_.at(target_gi_);
     const auto& g = controller_.group(id);
@@ -678,14 +618,14 @@ class Runner {
               g.tree->sender_route(host, controller_.failures());
           const auto header =
               controller_.encoder().codec().serialize(route.encoding, mutated);
-          fabric_.hypervisor(host).install_flow(g.address, g.tenant,
-                                                local_vms(g, host), header);
+          fabric.hypervisor(host).install_flow(g.address, g.tenant,
+                                               local_vms(g, host), header);
         }
         applied_ = true;
         break;
       }
       case Mutation::kDropSRule:
-        fabric_.leaf(target_switch_).remove_srule(g.address);
+        fabric.leaf(target_switch_).remove_srule(g.address);
         applied_ = true;
         break;
       case Mutation::kDropLocalVm: {
@@ -696,7 +636,7 @@ class Runner {
         const auto it = std::find(vms.begin(), vms.end(), target_vm_);
         if (it == vms.end()) return;  // churned away; keep prior
         vms.erase(it);
-        fabric_.hypervisor(target_host_).install_flow(
+        fabric.hypervisor(target_host_).install_flow(
             g.address, g.tenant, vms,
             sends ? controller_.header_for(id, target_host_)
                   : std::vector<std::uint8_t>{});
@@ -704,7 +644,7 @@ class Runner {
         break;
       }
       case Mutation::kWrongSenderHeader: {
-        fabric_.hypervisor(target_host_).install_flow(
+        fabric.hypervisor(target_host_).install_flow(
             g.address, g.tenant, local_vms(g, target_host_),
             controller_.header_for(id, target_other_));
         applied_ = true;
@@ -717,19 +657,14 @@ class Runner {
 
   const Scenario& sc_;
   Mutation mutation_;
-  RunOptions options_;
   topo::ClosTopology topo_;
   Controller controller_;
   sim::Fabric fabric_;
-  // Engaged only in delta mode (RunOptions::delta_installs); emplaced in
-  // setup() once the initial bulk install is in the fabric.
-  std::optional<stream::ControlPlane> plane_;
+  // Installs every rule fabric_ holds, from setup on; only a seeded
+  // Mutation writes beside it.
+  stream::ControlPlane plane_;
   obs::MetricsRegistry* registry_ = nullptr;
   std::vector<SendCapture>* captures_ = nullptr;
-  obs::TimeSeriesStore* ts_ = nullptr;
-  obs::HealthMonitor* health_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  double expected_vm_total_ = 0;  // oracle-side VM-delivery running total
   obs::ProvenanceLog prov_log_;
   std::string pending_explanation_;
   std::vector<bool> legacy_;
@@ -752,9 +687,8 @@ class Runner {
 }  // namespace
 
 RunReport run_scenario(const Scenario& scenario, Mutation mutation,
-                       const RunObservability* observability,
-                       const RunOptions& options) {
-  Runner runner{scenario, mutation, observability, options};
+                       const RunObservability* observability) {
+  Runner runner{scenario, mutation, observability};
   return runner.run();
 }
 

@@ -1,19 +1,37 @@
 // Differential runner: executes one Scenario through the REAL pipeline
-// (Controller encode -> bit-exact header codec -> sim::Fabric event-queue
-// walk) and diffs every observable against the set-based DeliveryOracle and
-// the analytic TrafficEvaluator:
+// (Controller encode -> streaming control plane -> p4rt wire channel ->
+// bit-exact header codec -> sim::Fabric event-queue walk) and diffs every
+// observable against the set-based DeliveryOracle and the analytic
+// TrafficEvaluator.
 //
-//   * after every membership event: controller member list == oracle mirror;
-//   * per send: every oracle-expected host got a copy (exactly one unless
-//     failures legitimize duplicates), the sender host got none, per-VM
-//     deliveries match copies x mirrored receiving VMs, switch hop count
-//     stays within the Clos diameter, and the packet-level fabric agrees
-//     with the analytic evaluator on total copies and members reached.
+// One pipeline writes the fabric under test: a stream::ControlPlane, whose
+// flush threshold (1, 8 or 64) the scenario seed picks. It installs every
+// group at setup, streams each join/leave/host-fail as coalesced rule
+// deltas, and re-diffs every group after a failure or restoration. Two
+// referees check it:
+//
+//   * the state digest, at every settled point (after a flush before each
+//     send, failure resync and the end of the run, and after every
+//     membership event that leaves nothing pending): the streamed fabric
+//     must digest-equal a fresh batch install of the controller's current
+//     encodings (stream::fabric_state_digest);
+//   * the delivery oracle, per send: every oracle-expected host got a copy
+//     (exactly one unless failures legitimize duplicates), the sender host
+//     got none, per-VM deliveries match copies x mirrored receiving VMs,
+//     switch hop count stays within the Clos diameter, and the packet-level
+//     fabric agrees with the analytic evaluator on total copies and members
+//     reached.
+//
+// After every membership event the controller's member list is also diffed
+// against the oracle mirror.
 //
 // Mutation mode turns the harness on itself: each Mutation seeds one known
 // fault into the pipeline (bit-flipped header templates, dropped s-rules or
 // flow VMs, stale mirrors, the pre-fix leave-by-host-only churn bug) and a
-// run is only useful evidence if the differ CATCHES it (applied && !ok).
+// run is only useful evidence if the differ CATCHES it (applied && !ok). A
+// fabric-side fault is seeded into the digest's reference as well, so the
+// send checks must catch it; a stale mirror is the digest's to catch, and
+// the leave-by-host-only desync the membership diff's.
 #pragma once
 
 #include <array>
@@ -25,9 +43,7 @@
 #include "verify/scenario.h"
 
 namespace elmo::obs {
-class HealthMonitor;
 class MetricsRegistry;
-class TimeSeriesStore;
 class Tracer;
 }
 
@@ -49,7 +65,8 @@ enum class Mutation : std::uint8_t {
   // Install the header template of a different (other-leaf) member into a
   // sender's flow.
   kWrongSenderHeader,
-  // Stop propagating membership changes to the data plane (stale fabric).
+  // Apply membership changes to the controller behind the streaming plane's
+  // back: its mirror and the fabric go stale.
   kSkipMirrorUpdate,
   // Process leaves through the legacy leave(group, host) API, which removes
   // the FIRST member on the host — the exact pre-fix ChurnSimulator desync
@@ -102,41 +119,15 @@ struct SendCapture {
 struct RunObservability {
   obs::MetricsRegistry* registry = nullptr;
   std::vector<SendCapture>* captures = nullptr;
-  // Live health taps (DESIGN.md §14): when `timeseries` is set, the runner
-  // closes one sampling window per scenario event (fabric counters, the
-  // oracle-expected VM-delivery total, and — in delta mode — the streaming
-  // plane's install-lag p99) and, when `health` is also set, ticks the
-  // monitor after each window. A clean fuzz run thus doubles as a
-  // zero-false-positive check for the detectors.
-  obs::TimeSeriesStore* timeseries = nullptr;
-  obs::HealthMonitor* health = nullptr;
-  // Causal tracer (DESIGN.md §15): attached to the fabric for the whole run
-  // (every send's per-hop walk lands on its data lane) and — in delta mode —
-  // to the streaming control plane, so churn events, installs, and
-  // time-to-effect closures share the walk's timeline.
+  // Causal tracer (DESIGN.md §15): attached to the streaming control plane
+  // and its fabric for the whole run, so setup installs, churn events,
+  // flushes, time-to-effect closures and every send's per-hop walk share one
+  // timeline.
   obs::Tracer* tracer = nullptr;
-};
-
-// Execution knobs for one run.
-struct RunOptions {
-  // Route membership churn through the streaming control plane
-  // (elmo::stream::ControlPlane): each join/leave is re-encoded
-  // incrementally and installed as coalesced rule DELTAS over the p4rt wire
-  // channel, instead of uninstall_group + install_group of the whole group
-  // per event. The scenario seed picks the plane's flush threshold from
-  // {1, 8, 64}. The installed fabric state is additionally digest-diffed
-  // against a freshly batch-installed reference fabric — the continuous
-  // churn oracle — at every settled point: after each membership event that
-  // leaves nothing pending (every event at threshold 1), and after a flush
-  // before every send, failure resync and the end of the run. Streamed
-  // deltas must leave the fabric byte-identical to a from-scratch install
-  // throughout, not just at the end.
-  bool delta_installs = false;
 };
 
 RunReport run_scenario(const Scenario& scenario,
                        Mutation mutation = Mutation::kNone,
-                       const RunObservability* observability = nullptr,
-                       const RunOptions& options = RunOptions{});
+                       const RunObservability* observability = nullptr);
 
 }  // namespace elmo::verify

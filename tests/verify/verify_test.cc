@@ -39,45 +39,21 @@ TEST(FuzzPipeline, CleanSeedsPass) {
   EXPECT_GT(sends, 0u);
 }
 
-// Delta mode: the same seeds, with heavy appended churn, routed through the
-// streaming control plane (incremental re-encode + coalesced delta installs
-// over the wire channel, flush threshold 1, 8 or 64 by seed). The runner
-// digest-diffs the fabric against a fresh batch install at every settled
-// point, so a pass means the streamed deltas never diverged from
+// The same seeds with heavy appended churn: every event streams through the
+// plane as coalesced deltas (flush threshold 1, 8 or 64 by seed), and the
+// runner digest-diffs the fabric against a fresh batch install at every
+// settled point, so a pass means the streamed deltas never diverged from
 // from-scratch state at any point the fabric was checked.
 TEST(FuzzPipeline, DeltaInstallSeedsPassWithContinuousStateDiff) {
-  RunOptions options;
-  options.delta_installs = true;
   std::size_t sends = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     auto scenario = generate_scenario(seed);
     append_churn_events(scenario, 40, 0xc4);
-    const auto report =
-        run_scenario(scenario, Mutation::kNone, nullptr, options);
+    const auto report = run_scenario(scenario);
     EXPECT_TRUE(report.ok) << "seed=" << seed << ": " << report.failure;
     sends += report.sends_checked;
   }
   EXPECT_GT(sends, 0u);
-}
-
-// The continuous state oracle must catch fabric-side faults in delta mode
-// too: a dropped s-rule diverges from the batch-install reference at the
-// very first digest diff, before any send has to traverse it.
-TEST(FuzzPipeline, DeltaModeCatchesFabricMutations) {
-  RunOptions options;
-  options.delta_installs = true;
-  for (const auto mutation :
-       {Mutation::kDropSRule, Mutation::kDropLocalVm, Mutation::kWrongSenderHeader,
-        Mutation::kSkipMirrorUpdate, Mutation::kLeaveByHostOnly}) {
-    bool caught = false;
-    for (std::uint64_t seed = 1; seed <= 60 && !caught; ++seed) {
-      const auto report =
-          run_scenario(generate_scenario(seed), mutation, nullptr, options);
-      caught = report.applied && !report.ok;
-    }
-    EXPECT_TRUE(caught) << "mutation " << to_string(mutation)
-                        << " survived 60 seeds in delta mode";
-  }
 }
 
 // Appended churn is deterministic per (seed, salt) and valid by
@@ -114,6 +90,47 @@ TEST(FuzzPipeline, MutationsAreCaught) {
     }
     EXPECT_TRUE(caught) << "mutation " << to_string(mutation)
                         << " survived 60 seeds";
+  }
+}
+
+// Each fault is caught by the referee meant for it, with and without appended
+// churn, on every seed that catches it. The digest's reference carries the
+// fabric-side faults too, so those fail at a send check and the diff carries
+// that send's explanation. A stale mirror is the digest's to catch, and the
+// leave-by-host-only desync the membership diff's.
+TEST(FuzzPipeline, MutationsAreCaughtByTheirReferee) {
+  for (const std::size_t churn : {std::size_t{0}, std::size_t{40}}) {
+    for (const auto mutation : kAllMutations) {
+      std::size_t caught = 0;
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        auto scenario = generate_scenario(seed);
+        if (churn > 0) append_churn_events(scenario, churn, 0xc4);
+        const auto report = run_scenario(scenario, mutation);
+        if (!report.applied || report.ok) continue;
+        ++caught;
+        const auto where = std::string{to_string(mutation)} + " seed=" +
+                           std::to_string(seed) + " churn=" +
+                           std::to_string(churn) + ": " + report.failure;
+        switch (mutation) {
+          case Mutation::kSkipMirrorUpdate:
+            EXPECT_NE(report.failure.find(
+                          "diverges from a fresh batch install"),
+                      std::string::npos)
+                << where;
+            break;
+          case Mutation::kLeaveByHostOnly:
+            EXPECT_NE(report.failure.find("membership desync"),
+                      std::string::npos)
+                << where;
+            break;
+          default:
+            EXPECT_FALSE(report.explanation.empty()) << where;
+            break;
+        }
+      }
+      EXPECT_GT(caught, 0u) << "mutation " << to_string(mutation)
+                            << " survived 40 seeds at churn " << churn;
+    }
   }
 }
 

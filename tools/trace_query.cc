@@ -116,7 +116,7 @@ void render_subtree(
 }
 
 // The root-to-delivery hop chain of `trace`, ending at hop `leaf`:
-// "host3 -> leaf0[p-rule] -> spine2[upstream] -> leaf4[s-rule] -> host17".
+// "host3 -> L0[upstream] -> S2[upstream] -> L4[p-rule] -> host17[deliver]".
 std::string hop_path(const obs::SendTrace& trace, std::size_t leaf) {
   std::vector<std::size_t> chain;
   for (auto i = leaf; i != obs::kNoProvParent; i = trace.hops[i].parent) {
@@ -127,7 +127,7 @@ std::string hop_path(const obs::SendTrace& trace, std::size_t leaf) {
   for (const auto i : chain) {
     const auto& hop = trace.hops[i];
     if (!out.empty()) out += " -> ";
-    out += to_string(hop.layer) + std::to_string(hop.node);
+    out += obs::node_name(hop.layer, hop.node);
     if (hop.decision.rule != obs::RuleClass::kNone &&
         hop.decision.rule != obs::RuleClass::kSource) {
       out += std::string{"["} + to_string(hop.decision.rule) + "]";
